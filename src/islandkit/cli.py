@@ -19,12 +19,20 @@ from .decomposition import (
     parse_decomposition,
     validate_decomposition,
 )
-from .graphs import GENERATORS, Graph, parse_graph, write_graph
+from .graphs import GENERATORS, Graph, checked_vset, parse_graph, write_graph
 
 
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _vertex_list(G: Graph, text: str) -> tuple[int, ...]:
+    """A comma-separated vertex list in the given order, each id checked
+    against G."""
+    ids = tuple(int(x) for x in text.split(",") if x != "")
+    checked_vset(G, ids)
+    return ids
 
 
 def _load_graph(path: str) -> Graph:
@@ -48,7 +56,7 @@ def _emit(args, command: str, parameters: dict, payload: dict, started: float) -
         "parameters": parameters,
         "input_digest": parameters.get("input_digest"),
         "payload": payload,
-        "wall_time_s": round(time.time() - started, 6),
+        "wall_time_s": round(time.perf_counter() - started, 6),
     }
     if args.json:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
@@ -169,7 +177,7 @@ def cmd_color(args, started: float) -> int:
 
 def cmd_percolate(args, started: float) -> int:
     G = _load_graph(args.graph)
-    seeds = tuple(int(x) for x in args.seeds.split(",") if x != "")
+    seeds = _vertex_list(G, args.seeds)
     params = {
         "graph": args.graph,
         "input_digest": _digest(args.graph),
@@ -296,7 +304,7 @@ def cmd_verify(args, started: float) -> int:
             payload["violation"] = verdict.violation
             negative = True
     if args.island:
-        members = tuple(int(x) for x in args.island.split(","))
+        members = _vertex_list(G, args.island)
         verdict = islands.is_island(G, members, args.t)
         payload["island_ok"] = verdict.ok
         if not verdict.ok:
@@ -315,9 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and path-decomposition surgery.",
     )
     parser.add_argument("--json", action="store_true", help="emit the full JSON report")
-    parser.add_argument(
-        "--seed-cap", type=int, default=10**6, help="cap on exhaustive seed searches"
-    )
     parser.add_argument(
         "--bruteforce-cap", type=int, default=20, help="cap on brute-force subroutines"
     )
@@ -377,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         return args.func(args, started)
     except HonestNegative as neg:

@@ -77,14 +77,49 @@ class DecompositionVerdict:
     proper: bool | None = None
 
 
+class DecompositionParseError(ValueError):
+    """Malformed decomposition text (carries the offending line number)."""
+
+
+def _tree_violation(k: int, edges: Sequence[tuple[int, int]]) -> str | None:
+    """Why k nodes and these edges do not form a tree, or None; O(k)."""
+    if len(edges) != k - 1:
+        return f"tree has {len(edges)} edges on {k} nodes"
+    root = list(range(k))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for a, b in edges:
+        if not (0 <= a < k and 0 <= b < k):
+            return f"tree edge ({a},{b}) out of range for {k} nodes"
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return f"tree edge ({a},{b}) closes a cycle"
+        root[ra] = rb
+    return None
+
+
 def validate_decomposition(
     G: Graph, D: TreeDecomposition | PathDecomposition
 ) -> DecompositionVerdict:
-    """Check edge coverage and per-vertex connectivity; report adhesion,
-    width and properness for path decompositions."""
+    """Check that a tree decomposition's edges form a tree, that bags name
+    vertices of G, edge coverage and per-vertex connectivity; report
+    adhesion, width and properness for path decompositions."""
     bags = D.bags
     if not bags:
         return DecompositionVerdict(G.n == 0, None if G.n == 0 else "no bags")
+    for i, bag in enumerate(bags):
+        outside = [v for v in bag if not 0 <= v < G.n]
+        if outside:
+            return DecompositionVerdict(False, f"bag {i} names vertex {outside[0]} outside the graph")
+    if isinstance(D, TreeDecomposition):
+        violation = _tree_violation(len(bags), D.edges)
+        if violation is not None:
+            return DecompositionVerdict(False, violation)
     bag_sets = [set(b) for b in bags]
     for u, v in G.edges():
         if not any(u in b and v in b for b in bag_sets):
@@ -122,6 +157,9 @@ def validate_decomposition(
 # text format: "path k" | "tree k", "edge a b" lines (trees), "bag v1 v2 ..."
 # ---------------------------------------------------------------------------
 
+_RECORD_ARITY = {"path": 1, "tree": 1, "edge": 2, "bag": None}  # None: any count
+
+
 def parse_decomposition(text: str) -> TreeDecomposition | PathDecomposition:
     kind: str | None = None
     k = 0
@@ -131,20 +169,30 @@ def parse_decomposition(text: str) -> TreeDecomposition | PathDecomposition:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] in ("path", "tree"):
-            kind = parts[0]
-            k = int(parts[1])
-        elif parts[0] == "edge":
-            edges.append((int(parts[1]), int(parts[2])))
-        elif parts[0] == "bag":
-            bags.append(vset(int(p) for p in parts[1:]))
+        record, *fields = line.split()
+        if record not in _RECORD_ARITY:
+            raise DecompositionParseError(f"line {lineno}: unknown record {record!r}")
+        try:
+            values = [int(f) for f in fields]
+        except ValueError:
+            raise DecompositionParseError(
+                f"line {lineno}: expected integers after {record!r}, got {raw!r}"
+            ) from None
+        arity = _RECORD_ARITY[record]
+        if arity is not None and len(values) != arity:
+            raise DecompositionParseError(
+                f"line {lineno}: {record!r} takes {arity} integer(s), got {raw!r}"
+            )
+        if record in ("path", "tree"):
+            kind, k = record, values[0]
+        elif record == "edge":
+            edges.append((values[0], values[1]))
         else:
-            raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+            bags.append(vset(values))
     if kind is None:
-        raise ValueError("missing 'path k' or 'tree k' header")
+        raise DecompositionParseError("missing 'path k' or 'tree k' header")
     if len(bags) != k:
-        raise ValueError(f"expected {k} bags, found {len(bags)}")
+        raise DecompositionParseError(f"expected {k} bags, found {len(bags)}")
     if kind == "path":
         return PathDecomposition(tuple(bags))
     return TreeDecomposition(tuple(bags), tuple(edges))
@@ -297,11 +345,16 @@ def _decomposition_from_order(G: Graph, order: Sequence[int]) -> TreeDecompositi
                     nbrs[b].add(a)
         bags.append(vset(later | {v}))
         bag_of[v] = idx
+    last_root = None  # one root per component: chain them into one tree
     for idx, v in enumerate(order):
         later = later_sets[idx]
         if later:
             nxt = min(later, key=lambda u: pos[u])
             edges.append((idx, bag_of[nxt]))
+        else:
+            if last_root is not None:
+                edges.append((last_root, idx))
+            last_root = idx
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 

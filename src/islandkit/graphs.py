@@ -25,6 +25,17 @@ def vset(members: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(members)))
 
 
+def checked_vset(G: "Graph", members: Iterable[int]) -> tuple[int, ...]:
+    """vset(members), raising GraphValidityError that names the first id
+    outside range(G.n); negative ids never reach Python's negative
+    indexing."""
+    out = vset(members)
+    if out and (out[0] < 0 or out[-1] >= G.n):
+        bad = out[0] if out[0] < 0 else out[-1]
+        raise GraphValidityError(f"vertex {bad} out of range for n={G.n}")
+    return out
+
+
 class Graph:
     """Undirected simple graph, immutable after construction."""
 
@@ -204,10 +215,7 @@ def components_within(G: Graph, S: Iterable[int]) -> list[tuple[int, ...]]:
 
 def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Relabeled subgraph on S plus the old-id -> new-id mapping."""
-    members = vset(S)
-    for v in members:
-        if not (0 <= v < G.n):
-            raise GraphValidityError(f"vertex {v} out of range")
+    members = checked_vset(G, S)
     relabel = {v: i for i, v in enumerate(members)}
     edges = [
         (relabel[u], relabel[v])

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .graphs import Graph, vset
+from .graphs import Graph, checked_vset, vset
 
 
 class NotAnEnclave(ValueError):
@@ -98,7 +98,7 @@ class SparseIslandParams:
 
 def is_island(G: Graph, S: Iterable[int], t: int) -> IslandVerdict:
     """Certify S as a t-island or name the first offending vertex."""
-    members = vset(S)
+    members = checked_vset(G, S)
     if not members:
         raise ValueError("island candidate must be non-empty")
     if t < 1:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph, vset
+from .graphs import Graph, checked_vset, vset
 from .islands import (
     GraphTooLarge,
     IslandCertificate,
@@ -49,7 +49,7 @@ def percolate(G: Graph, A0, t: int) -> PercolationRun:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    seeds = vset(A0)
+    seeds = checked_vset(G, A0)
     active = set(seeds)
     count = [0] * G.n  # active neighbors of each inactive vertex
     frontier = list(seeds)

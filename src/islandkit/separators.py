@@ -5,6 +5,11 @@ has at most C vertices, following the Lipton-Tarjan style recursion: cut,
 recurse on components, stop at size C.  The rank bookkeeping (log base
 3/2 of subgraph sizes) is recorded in the trace and strictly decreases
 along every root-leaf path because separations are 2/3-balanced.
+
+Cost: the BFS-level oracle answers each call with one union-find sweep
+over the levels, O((n+m)*alpha(n)), and shatter() builds its recursion
+tree once, at the smallest candidate C; every larger candidate is the
+same tree cut off at nodes of size <= C, so choosing C needs no rebuild.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ class SeparatorContractError(RuntimeError):
 
 
 class ShatterBudgetError(RuntimeError):
-    """No component bound within the retry limit met the epsilon budget."""
+    """No component bound in the candidate schedule met the epsilon budget."""
 
 
 @dataclass(frozen=True)
@@ -104,21 +109,19 @@ def _balanced_split(sizes: list[int], n_total: int) -> tuple[list[int], list[int
     """Split component indices into two groups, each of total size at most
     (2/3) n_total.  Exact subset-sum for few components, greedy otherwise."""
     limit = BALANCE_NUM * n_total  # compare 3*size <= 2*n
-    idx = sorted(range(len(sizes)), key=lambda i: -sizes[i])
-    if len(sizes) <= 16:
-        best = None
-        for r in range(len(sizes) + 1):
-            for group in combinations(range(len(sizes)), r):
-                a = sum(sizes[i] for i in group)
-                b = sum(sizes) - a
-                if BALANCE_DEN * a <= limit and BALANCE_DEN * b <= limit:
-                    best = (list(group), [i for i in range(len(sizes)) if i not in group])
-                    return best
+    k = len(sizes)
+    if k <= 16:
+        total = sum(sizes)
+        for r in range(k + 1):
+            for group, a in zip(combinations(range(k), r), map(sum, combinations(sizes, r))):
+                if BALANCE_DEN * a <= limit and BALANCE_DEN * (total - a) <= limit:
+                    chosen = set(group)
+                    return list(group), [i for i in range(k) if i not in chosen]
         return None
     g1: list[int] = []
     g2: list[int] = []
     s1 = s2 = 0
-    for i in idx:
+    for i in sorted(range(k), key=lambda i: -sizes[i]):
         if s1 <= s2:
             g1.append(i)
             s1 += sizes[i]
@@ -190,29 +193,72 @@ def brute_force_separator(G: Graph, max_order: int | None = None) -> Separation:
 
 def bfs_level_separator(G: Graph) -> Separation:
     """Heuristic: remove the smallest BFS level (root 0) whose removal
-    leaves components that split into two 2/3-balanced groups."""
+    leaves components that split into two 2/3-balanced groups; ties go to
+    the level nearest the root.
+
+    One union-find sweep adds the levels from the deepest to the root, so
+    the whole call costs O((n+m)*alpha(n)).  Just before level i is added
+    the structure holds G[levels > i], and each of its components touches
+    level i+1, so the component sizes of G - level(i) are read off level
+    i+1 plus the single component G[levels < i], which contains vertex 0.
+    Only the winning level's sides are materialised.
+    """
     if G.n == 0:
         raise GraphValidityError("empty graph")
     levels = bfs_levels(G, 0)
-    if sum(len(l) for l in levels) != G.n:
+    n = G.n
+    if sum(len(l) for l in levels) != n:
         raise GraphValidityError("bfs_level_separator requires a connected graph")
-    best: tuple[int, int, Separation] | None = None  # (|level|, index, sep)
-    for idx, level in enumerate(levels):
-        rest = [v for v in range(G.n) if v not in set(level)]
-        comps = components_within(G, rest)
-        split = _balanced_split([len(c) for c in comps], G.n)
-        if split is None:
-            continue
-        g1, g2 = split
-        side1 = [v for i in g1 for v in comps[i]]
-        side2 = [v for i in g2 for v in comps[i]]
-        sep = Separation(vset(side1 + list(level)), vset(side2 + list(level)))
-        key = (len(level), idx)
-        if best is None or key < best[:2]:
-            best = (len(level), idx, sep)
+    parent = list(range(n))
+    size = [1] * n
+    low = list(range(n))  # minimum vertex of each root's component
+    added = [False] * n
+
+    def find(v: int) -> int:
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    best: tuple[int, int, tuple[list[int], list[int]]] | None = None  # (|level|, index, split)
+    deeper = 0  # vertices in levels deeper than idx
+    for idx in range(len(levels) - 1, -1, -1):
+        level = levels[idx]
+        if best is None or len(level) <= best[0]:
+            # components of G - level, ordered by minimum vertex as
+            # components_within orders them
+            nxt = levels[idx + 1] if idx + 1 < len(levels) else ()
+            comps = sorted((low[r], size[r]) for r in {find(v) for v in nxt})
+            above = n - deeper - len(level)
+            sizes = ([above] if above else []) + [s for _, s in comps]
+            split = _balanced_split(sizes, n)
+            if split is not None:
+                best = (len(level), idx, split)
+        for v in level:
+            added[v] = True
+        for v in level:
+            for u in G.adj[v]:
+                if added[u]:
+                    ru, rv = find(u), find(v)
+                    if ru != rv:
+                        if size[ru] < size[rv]:
+                            ru, rv = rv, ru
+                        parent[rv] = ru
+                        size[ru] += size[rv]
+                        low[ru] = min(low[ru], low[rv])
+        deeper += len(level)
     assert best is not None  # some level always balances
-    best[2].validate(G)
-    return best[2]
+    _, idx, (g1, g2) = best
+    level = levels[idx]
+    inlevel = set(level)
+    comps = components_within(G, [v for v in range(n) if v not in inlevel])
+    side1 = [v for i in g1 for v in comps[i]]
+    side2 = [v for i in g2 for v in comps[i]]
+    sep = Separation(vset(side1 + list(level)), vset(side2 + list(level)))
+    sep.validate(G)
+    return sep
 
 
 @dataclass(frozen=True)
@@ -256,26 +302,29 @@ def _rank(size: int) -> int:
     return math.floor(math.log(size) / math.log(1.5)) if size >= 1 else 0
 
 
-def _shatter_once(
+# one recursion-tree node in pre-order: (parent position or -1, size, cut)
+_TreeNode = tuple[int, int, tuple[int, ...]]
+
+
+def _shatter_tree(
     G: Graph, C: int, oracle: SeparatorOracle, budget: SeparatorBudget | None
-) -> tuple[set[int], list[TraceNode]]:
-    X: set[int] = set()
-    trace: list[TraceNode] = []
-    counter = 0
-    # stack of (vertex subset, parent trace id); top-level components are roots
+) -> list[_TreeNode]:
+    """The recursion tree at component bound C, in pre-order: cut every
+    node of size > C with the oracle and recurse on the components left,
+    in order of minimum vertex.  Leaves carry an empty cut."""
+    tree: list[_TreeNode] = []
+    # stack of (vertex subset, parent position); top-level components are roots
     stack: list[tuple[tuple[int, ...], int]] = [
         (comp, -1) for comp in reversed(components_within(G, range(G.n)))
     ]
     while stack:
         subset, parent = stack.pop()
-        node_id = counter
-        counter += 1
+        node_id = len(tree)
         size = len(subset)
         if size <= C:
-            trace.append(TraceNode(node_id, parent, size, 0, _rank(size)))
+            tree.append((parent, size, ()))
             continue
-        sub, relabel = induced_subgraph(G, subset)
-        back = {new: old for old, new in relabel.items()}
+        sub, _ = induced_subgraph(G, subset)
         sep = oracle(sub)
         sep.validate(sub)
         cut_local = sep.cut
@@ -295,12 +344,37 @@ def _shatter_once(
             raise SeparatorContractError(
                 f"oracle returned an empty cut for a connected subgraph at node {node_id}"
             )
-        cut = {back[v] for v in cut_local}
-        X.update(cut)
-        trace.append(TraceNode(node_id, parent, size, len(cut), _rank(size)))
-        rest = set(subset) - cut
+        cut = tuple(subset[v] for v in cut_local)  # sub numbers the sorted subset 0..size-1
+        tree.append((parent, size, cut))
+        rest = set(subset).difference(cut)
         for comp in reversed(components_within(G, rest)):
             stack.append((comp, node_id))
+    return tree
+
+
+def _cut_size(tree: list[_TreeNode], C: int) -> int:
+    """|X| of the tree cut off at nodes of size <= C: sizes strictly drop
+    along every root-leaf path and sibling cuts are disjoint, so X is the
+    disjoint union of the cuts at nodes of size > C."""
+    return sum(len(cut) for _, size, cut in tree if size > C)
+
+
+def _truncate(tree: list[_TreeNode], C: int) -> tuple[set[int], list[TraceNode]]:
+    """X and the renumbered pre-order trace of the tree cut off at nodes of
+    size <= C (C at least the bound the tree was built with)."""
+    X: set[int] = set()
+    trace: list[TraceNode] = []
+    renumber: dict[int, int] = {}
+    for pos, (parent, size, cut) in enumerate(tree):
+        if parent != -1 and tree[parent][1] <= C:
+            continue  # inside a subtree that is a leaf at bound C
+        renumber[pos] = node_id = len(trace)
+        if size <= C:
+            cut = ()
+        X.update(cut)
+        trace.append(
+            TraceNode(node_id, renumber.get(parent, -1), size, len(cut), _rank(size))
+        )
     return X, trace
 
 
@@ -315,19 +389,25 @@ def verify_shatter(G: Graph, X, C: int, epsilon) -> None:
             raise ShatterBudgetError(f"component of size {len(comp)} exceeds C={C}")
 
 
+DOUBLINGS = 20  # length of the budget-free candidate schedule c0, 2c0, 4c0, ...
+
+
 def shatter(
     G: Graph,
     epsilon,
     oracle: SeparatorOracle,
     budget: SeparatorBudget | None = None,
-    max_retries: int = 20,
 ) -> ShatterReport:
     """Remove X with |X| <= epsilon*n so all components of G - X have <= C
     vertices.
 
     With a provable budget, C comes from the budget's tail sum (as in the
-    proof) and any oracle violation is an error.  Without one, C starts
-    small and doubles until the epsilon budget is met post-hoc.
+    proof) and any oracle violation is an error.  Without one, C is the
+    first of c0 = max(2, ceil(sqrt n)), 2c0, 4c0, ... that meets the
+    epsilon budget.  The oracle is deterministic, so the tree for a bound
+    C' >= c0 is the c0 tree cut off at nodes of size <= C': the tree is
+    built once, every candidate is read off it, and the chosen result is
+    verified once.
     """
     eps = as_fraction(epsilon)
     if eps <= 0:
@@ -338,32 +418,18 @@ def shatter(
         candidates = [budget.component_bound(eps)]
     else:
         c0 = max(2, math.ceil(math.sqrt(G.n)))
-        candidates = []
-        c = c0
-        for _ in range(max_retries):
-            candidates.append(c)
-            c *= 2
-    last_err: Exception | None = None
-    for C in candidates:
-        if C >= G.n:
-            # single leaf per component, X empty
-            X_set: set[int] = set()
-            trace = [
-                TraceNode(i, -1, len(comp), 0, _rank(len(comp)))
-                for i, comp in enumerate(components_within(G, range(G.n)))
-            ]
-            verify_shatter(G, X_set, C, eps)
-            return ShatterReport((), C, eps, tuple(trace))
-        X_set, trace = _shatter_once(G, C, oracle, budget)
-        try:
-            verify_shatter(G, X_set, C, eps)
-        except ShatterBudgetError as err:
-            last_err = err
-            continue
-        return ShatterReport(tuple(sorted(X_set)), C, eps, tuple(trace))
-    raise ShatterBudgetError(
-        f"no component bound met the epsilon budget after {len(candidates)} tries: {last_err}"
-    )
+        candidates = [c0 << i for i in range(DOUBLINGS)]
+    tree = _shatter_tree(G, candidates[0], oracle, budget)
+    allowed = eps * G.n
+    C = next((c for c in candidates if _cut_size(tree, c) <= allowed), candidates[-1])
+    X_set, trace = _truncate(tree, C)
+    try:
+        verify_shatter(G, X_set, C, eps)
+    except ShatterBudgetError as err:
+        raise ShatterBudgetError(
+            f"no component bound met the epsilon budget after {len(candidates)} tries: {err}"
+        ) from None
+    return ShatterReport(tuple(sorted(X_set)), C, eps, tuple(trace))
 
 
 def default_shatterer(G: Graph, epsilon) -> ShatterReport:

@@ -100,12 +100,11 @@ def verify_coarsening(
 # tree -> path
 # ---------------------------------------------------------------------------
 
-def _component_to_path(
+def _tree_path_bags(
     T: TreeDecomposition, adj: list[list[int]], nodes: list[int]
 ) -> tuple[list[tuple[int, ...]], str]:
-    if len(nodes) == 1:
-        return [T.bags[nodes[0]]], "single bag"
-    node_set = set(nodes)
+    if len(nodes) <= 1:  # none only for the empty graph's empty tree
+        return [T.bags[z] for z in nodes], "single bag"
     degrees = {z: len(adj[z]) for z in nodes}
     hub = max(nodes, key=lambda z: degrees[z])
 
@@ -170,32 +169,21 @@ def tree_to_path(G: Graph, T: TreeDecomposition, n: int = 1) -> TransformResult:
     High-degree node: one path bag per branch, each being the node's bag
     united with the branch's bags.  Otherwise: walk a longest path of the
     tree, folding each hanging subtree into the bag it hangs from.
-    Forests are handled component by component, concatenating the paths.
     The achieved order is best-effort and reported, not promised.
     """
     verdict = validate_decomposition(G, T)
     if not verdict.ok:
         raise AuditError(f"invalid tree decomposition: {verdict.violation}")
     adj = T.adjacency()
-    seen: set[int] = set()
-    bags: list[tuple[int, ...]] = []
-    notes: list[str] = []
-    for start in range(T.order):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        for x in comp:
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-        comp_bags, note = _component_to_path(T, adj, comp)
-        bags.extend(comp_bags)
-        notes.append(note)
-    P = PathDecomposition(tuple(bags))
-    note = "; ".join(notes)
-    P, _ = restore_properness(P)
+    order = [0] if T.bags else []  # BFS order of the tree's nodes
+    seen = set(order)
+    for x in order:
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    bags, note = _tree_path_bags(T, adj, order)
+    P, _ = restore_properness(PathDecomposition(tuple(bags)))
     verdict = validate_decomposition(G, P)
     if not verdict.ok or not P.proper:
         raise AuditError(f"tree_to_path produced an invalid result: {verdict.violation}")

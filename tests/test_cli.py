@@ -100,3 +100,21 @@ class TestVerify:
 
     def test_missing_file_is_error(self):
         assert main(["verify", "no-such-file.txt"]) == 1
+
+
+class TestVertexIdsAtTheBoundary:
+    @pytest.fixture
+    def p3(self, tmp_path):
+        path = tmp_path / "p3.txt"
+        assert main(["gen", "path", "3", str(path)]) == 0
+        return str(path)
+
+    def test_percolate_negative_seed_is_error(self, p3, capsys):
+        capsys.readouterr()
+        assert main(["--json", "percolate", p3, "-1", "1"]) == 1
+        assert "vertex -1 out of range" in capsys.readouterr().err
+
+    def test_verify_island_out_of_range_is_error(self, p3, capsys):
+        capsys.readouterr()
+        assert main(["verify", p3, "--island", "0,1,2,7", "--t", "1"]) == 1
+        assert "vertex 7 out of range" in capsys.readouterr().err

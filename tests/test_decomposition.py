@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from islandkit.decomposition import (
+    DecompositionParseError,
     Linkage,
     PathDecomposition,
     TreeDecomposition,
@@ -99,6 +100,55 @@ class TestPathDecomposition:
         Q, witness = restore_properness(P)
         assert Q.proper
         assert validate_decomposition(gen_path(4), Q).ok
+
+
+class TestFullDefinition:
+    def test_cycle_of_tree_edges_rejected(self):
+        T = parse_decomposition("tree 3\nedge 0 1\nedge 1 2\nedge 2 0\nbag 0 1\nbag 1 2\nbag 2\n")
+        verdict = validate_decomposition(gen_path(3), T)
+        assert not verdict.ok and "edges on 3 nodes" in verdict.violation
+
+    def test_closed_cycle_with_right_count_rejected(self):
+        T = TreeDecomposition(((0, 1), (1, 2), (2,), (2,)), ((0, 1), (1, 2), (2, 1)))
+        verdict = validate_decomposition(gen_path(3), T)
+        assert not verdict.ok and "cycle" in verdict.violation
+
+    def test_forest_rejected(self):
+        T = TreeDecomposition(((0, 1), (1, 2), (2,)), ((0, 1),))
+        assert not validate_decomposition(gen_path(3), T).ok
+
+    def test_tree_edge_out_of_range_rejected(self):
+        T = TreeDecomposition(((0, 1), (1, 2)), ((0, -1),))
+        verdict = validate_decomposition(gen_path(3), T)
+        assert not verdict.ok and "out of range" in verdict.violation
+
+    def test_bag_naming_missing_vertex_rejected(self):
+        P = parse_decomposition("path 2\nbag 0 1\nbag 1 2 7\n")
+        verdict = validate_decomposition(gen_path(3), P)
+        assert not verdict.ok and "vertex 7" in verdict.violation
+
+    def test_negative_bag_vertex_rejected(self):
+        P = PathDecomposition(((-1, 0, 1), (1, 2)))
+        assert not validate_decomposition(gen_path(3), P).ok
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("path\n", 1),
+            ("path 1\nbag 0 x\n", 2),
+            ("# header\ntree 2\nbag 0\nbag 1\nedge 0\n", 5),
+            ("path 1\nblob 3\n", 2),
+        ],
+    )
+    def test_parse_errors_carry_line_numbers(self, text, line):
+        with pytest.raises(DecompositionParseError, match=f"^line {line}: "):
+            parse_decomposition(text)
+
+    def test_min_fill_on_disconnected_graph_is_one_tree(self):
+        G = Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
+        T = treewidth_decomposition(G)
+        assert len(T.edges) == T.order - 1
+        assert validate_decomposition(G, T).ok
 
 
 class TestTreewidth:

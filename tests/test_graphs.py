@@ -17,6 +17,7 @@ from islandkit.graphs import (
     gen_path,
     gen_triangulated_grid,
     girth,
+    checked_vset,
     parse_graph,
     verify_minor_model,
     write_graph,
@@ -139,3 +140,13 @@ class TestMinorModel:
         G = gen_cycle(6)
         model = MinorModel({0: (0, 1), 1: (1, 2), 2: (4, 5)})
         assert not verify_minor_model(G, gen_cycle(3), model).ok
+
+
+class TestVertexIds:
+    def test_in_range_ids_are_normalised(self):
+        assert checked_vset(gen_path(3), [2, 0, 2]) == (0, 2)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_id_is_named(self, bad):
+        with pytest.raises(GraphValidityError, match=f"vertex {bad} out of range"):
+            checked_vset(gen_path(3), [0, bad])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from islandkit.graphs import (
+    GraphValidityError,
     gen_complete_bipartite,
     gen_fan,
     gen_path,
@@ -56,6 +57,12 @@ class TestIsIsland:
             sum(1 for u in G.adj[v] if u not in set(S)) < 2 for v in S
         )
         assert verdict.ok == expected
+
+
+    def test_negative_member_rejected(self):
+        # -1 once passed as the last vertex, so V plus -1 was "an island"
+        with pytest.raises(GraphValidityError, match="vertex -1"):
+            is_island(gen_path(3), [-1, 0, 1, 2], 1)
 
 
 class TestEnclaves:

@@ -1,9 +1,10 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from islandkit.graphs import gen_complete_bipartite, gen_cycle, gen_path
+from islandkit.graphs import GraphValidityError, gen_complete_bipartite, gen_cycle, gen_path
 from islandkit.islands import is_island
 from islandkit.percolation import (
     budget_for,
@@ -63,6 +64,16 @@ class TestPercolate:
             if candidates:
                 active.add(rnd.choice(candidates))
         assert active == expected
+
+
+    def test_negative_seed_rejected(self):
+        # -1 once indexed the last vertex and reported 4 active of 3
+        with pytest.raises(GraphValidityError, match="vertex -1"):
+            percolate(gen_path(3), [-1], 1)
+
+    def test_seed_past_the_end_rejected(self):
+        with pytest.raises(GraphValidityError, match="vertex 3"):
+            percolate(gen_path(3), [0, 3], 1)
 
 
 class TestBudget:

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
+from islandkit import separators
 from islandkit.graphs import (
     Graph,
     gen_complete_bipartite,
@@ -113,3 +114,32 @@ class TestShatter:
             G = random_bounded_degree_graph(rng, n, 4)
             report = default_shatterer(G, 0.2)
             verify_shatter(G, report.X, report.C, 0.2)
+
+
+class TestWorkCounts:
+    """Call counts pin the complexity without wall-clock asserts."""
+
+    def _count(self, monkeypatch, name):
+        calls = []
+        real = getattr(separators, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(separators, name, counted)
+        return calls
+
+    def test_one_components_pass_per_separator_call(self, monkeypatch):
+        calls = self._count(monkeypatch, "components_within")
+        G = gen_triangulated_grid(20, 20)  # 39 BFS levels
+        bfs_level_separator(G)
+        assert len(calls) == 1
+
+    def test_shatter_verifies_once(self, monkeypatch, rng):
+        calls = self._count(monkeypatch, "verify_shatter")
+        G = random_bounded_degree_graph(rng, 500, 4)
+        report = shatter(G, 0.05, bfs_level_separator)
+        # the first candidate misses the budget, so several were weighed
+        assert report.C > math.ceil(math.sqrt(G.n))
+        assert len(calls) == 1

@@ -2,6 +2,7 @@ import pytest
 
 from islandkit.decomposition import (
     PathDecomposition,
+    TreeDecomposition,
     treewidth_decomposition,
     validate_decomposition,
 )
@@ -112,6 +113,10 @@ class TestTreeToPath:
         T = treewidth_decomposition(G)
         result = tree_to_path(G, T)
         assert validate_decomposition(G, result.decomposition).ok
+
+    def test_empty_graph(self):
+        result = tree_to_path(Graph(0, []), TreeDecomposition((), ()))
+        assert result.decomposition.order == 0
 
     def test_disconnected_graph(self):
         G = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
