@@ -75,23 +75,28 @@ class ColoringVerdict:
 
 
 def monochromatic_components(G: Graph, colors: Sequence[int]) -> list[tuple[int, ...]]:
-    comps: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for s in range(G.n):
-        if s in seen:
-            continue
-        seen.add(s)
-        comp = [s]
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in G.adj[v]:
-                if u not in seen and colors[u] == colors[v]:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    """Components of each colour class, ordered by minimum vertex."""
+    classes: dict[int, list[int]] = {}
+    for v in range(G.n):
+        classes.setdefault(colors[v], []).append(v)
+    comps = [c for cls in classes.values() for c in components_within(G, cls)]
+    return sorted(comps, key=lambda c: c[0])
+
+
+def _mono_exceeds(G: Graph, colors: Sequence[int], v: int, C: int) -> bool:
+    """Whether v's component among the vertices coloured colors[v] has more
+    than C vertices; it can only grow as more vertices get coloured."""
+    comp = {v}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for u in G.adj[x]:
+            if colors[u] == colors[v] and u not in comp:
+                comp.add(u)
+                stack.append(u)
+                if len(comp) > C:
+                    return True
+    return len(comp) > C
 
 
 def verify_coloring(G: Graph, col: ClusteredColoring, C: int) -> ColoringVerdict:
@@ -114,8 +119,7 @@ def _peel_islands(
     remaining = list(range(G.n))
     islands: list[tuple[int, ...]] = []
     while remaining:
-        sub, relabel = induced_subgraph(G, remaining)
-        back = {new: old for old, new in relabel.items()}
+        sub, _ = induced_subgraph(G, remaining)
         try:
             local = vset(island_finder(sub, t))
         except Exception as err:
@@ -123,11 +127,11 @@ def _peel_islands(
                 f"island finder failed on residual of size {sub.n}: {err}",
                 tuple(remaining),
             ) from err
-        if not local or any(v >= sub.n for v in local):
+        if not local or local[0] < 0 or local[-1] >= sub.n:
             raise IslandFinderError(
                 "island finder returned an invalid set", tuple(remaining)
             )
-        island = vset(back[v] for v in local)
+        island = tuple(remaining[v] for v in local)
         residual = set(remaining)
         island_set = set(island)
         for v in island:
@@ -139,8 +143,7 @@ def _peel_islands(
                     tuple(remaining),
                 )
         islands.append(island)
-        gone = set(island)
-        remaining = [v for v in remaining if v not in gone]
+        remaining = [v for v in remaining if v not in island_set]
     return islands
 
 
@@ -198,27 +201,12 @@ def chi_C_bruteforce(G: Graph, C: int, cap: int = 14) -> int:
     def feasible(t: int) -> bool:
         colors = [-1] * G.n
 
-        def mono_violates(v: int) -> bool:
-            # component of v among colored same-colored vertices; it can
-            # only grow as more vertices get colored
-            comp = {v}
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for u in G.adj[x]:
-                    if colors[u] == colors[v] and u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-                        if len(comp) > C:
-                            return True
-            return len(comp) > C
-
         def rec(v: int, used: int) -> bool:
             if v == G.n:
                 return True
             for c in range(min(used + 1, t)):
                 colors[v] = c
-                if not mono_violates(v) and rec(v + 1, max(used, c + 1)):
+                if not _mono_exceeds(G, colors, v, C) and rec(v + 1, max(used, c + 1)):
                     return True
             colors[v] = -1
             return False
@@ -269,12 +257,11 @@ def two_part_coloring(
     for offset, part in ((0, part1), (t, part2)):
         if not part:
             continue
-        sub, relabel = induced_subgraph(G, part)
-        back = {new: old for old, new in relabel.items()}
+        sub, _ = induced_subgraph(G, part)
         col, _ = greedy_clustered_coloring(sub, t, island_finder)
         clustering = max(clustering, col.achieved_clustering)
         for local, c in enumerate(col.colors):
-            colors[back[local]] = c + offset
+            colors[part[local]] = c + offset
     return ClusteredColoring(tuple(colors), 2 * t, clustering)
 
 
@@ -337,25 +324,12 @@ def verify_no_good_list_coloring(
             raise GraphTooLarge(f"coloring space exceeds cap {cap}")
     colors = [-1] * G.n
 
-    def component_too_big(v: int) -> bool:
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for u in G.adj[x]:
-                if colors[u] == colors[v] and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-                    if len(comp) > C:
-                        return True
-        return len(comp) > C
-
     def rec(v: int) -> bool:  # True: a good coloring (clustering <= C) exists
         if v == G.n:
             return True
         for c in L.lists[v]:
             colors[v] = c
-            if not component_too_big(v) and rec(v + 1):
+            if not _mono_exceeds(G, colors, v, C) and rec(v + 1):
                 return True
         colors[v] = -1
         return False

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graphs import Graph, Separation, components_within, vset
+from .graphs import Graph, Separation, vset
 
 
 @dataclass(frozen=True)
@@ -112,34 +112,37 @@ def validate_decomposition(
     bags = D.bags
     if not bags:
         return DecompositionVerdict(G.n == 0, None if G.n == 0 else "no bags")
+    where: list[list[int]] = [[] for _ in range(G.n)]  # vertex -> its bags, ascending
     for i, bag in enumerate(bags):
-        outside = [v for v in bag if not 0 <= v < G.n]
-        if outside:
-            return DecompositionVerdict(False, f"bag {i} names vertex {outside[0]} outside the graph")
+        for v in bag:
+            if not 0 <= v < G.n:
+                return DecompositionVerdict(False, f"bag {i} names vertex {v} outside the graph")
+            if not where[v] or where[v][-1] != i:
+                where[v].append(i)
     if isinstance(D, TreeDecomposition):
         violation = _tree_violation(len(bags), D.edges)
         if violation is not None:
             return DecompositionVerdict(False, violation)
     bag_sets = [set(b) for b in bags]
     for u, v in G.edges():
-        if not any(u in b and v in b for b in bag_sets):
+        a, b = (u, v) if len(where[u]) <= len(where[v]) else (v, u)
+        if not any(b in bag_sets[i] for i in where[a]):
             return DecompositionVerdict(False, f"edge ({u},{v}) uncovered")
     if isinstance(D, PathDecomposition):
-        for v in range(G.n):
-            hits = [i for i, b in enumerate(bag_sets) if v in b]
+        for v, hits in enumerate(where):
             if not hits:
                 return DecompositionVerdict(False, f"vertex {v} in no bag")
-            if hits != list(range(hits[0], hits[-1] + 1)):
+            if hits[-1] - hits[0] + 1 != len(hits):
                 return DecompositionVerdict(False, f"vertex {v} trace not consecutive")
         return DecompositionVerdict(
             True, adhesion=D.adhesion, width=D.width, proper=D.proper
         )
     adj = D.adjacency()
     for v in range(G.n):
-        hits = {i for i, b in enumerate(bag_sets) if v in b}
+        hits = set(where[v])
         if not hits:
             return DecompositionVerdict(False, f"vertex {v} in no bag")
-        start = min(hits)
+        start = where[v][0]
         seen = {start}
         queue = deque([start])
         while queue:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 
 class GraphParseError(ValueError):
@@ -169,27 +169,6 @@ def write_graph(G: Graph, comment: str = "islandkit") -> str:
 # ---------------------------------------------------------------------------
 # basic queries
 # ---------------------------------------------------------------------------
-
-def components(G: Graph) -> list[tuple[int, ...]]:
-    """Connected components as sorted tuples, ordered by minimum member."""
-    seen = [False] * G.n
-    out: list[tuple[int, ...]] = []
-    for s in range(G.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in G.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    queue.append(u)
-        out.append(tuple(sorted(comp)))
-    return out
-
 
 def components_within(G: Graph, S: Iterable[int]) -> list[tuple[int, ...]]:
     """Connected components of G[S], without building the induced subgraph."""

@@ -1,20 +1,29 @@
-"""t-islands and t-enclaves: certification, greedy shrinking, brute-force
-minimum-island search, and separator-driven extraction in sparse graphs.
+"""t-islands and t-enclaves: certification, the maximal-island peel,
+brute-force minimum-island search, and separator-driven extraction in
+sparse graphs.
 
 A t-island is a non-empty vertex set whose members all have fewer than t
 neighbors outside the set.  A t-enclave is a set A with e(A) < t|A|, where
-e(A) counts edges with at least one end in A; every enclave contains an
-island, found by repeatedly deleting a vertex with >= t outside neighbors.
+e(A) counts edges with at least one end in A.
+
+`peel` is the one primitive behind enclave shrinking and percolation: it
+repeatedly removes the vertices of W with >= t neighbors outside the
+current set, and what survives is the unique maximal t-island inside W
+(empty if W holds none), whatever order the removals take.  Peeling a
+t-enclave leaves a non-empty island, because each removal keeps the
+enclave inequality.  By duality, V \\ closure(A) is the
+maximal t-island inside V \\ A, so `percolation.percolate` is the same
+peel run on the complement of the seeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .graphs import Graph, checked_vset, vset
+from .graphs import Graph, checked_vset
 
 
 class NotAnEnclave(ValueError):
@@ -117,7 +126,7 @@ def is_island(G: Graph, S: Iterable[int], t: int) -> IslandVerdict:
 
 def incident_edge_count(G: Graph, A: Iterable[int]) -> int:
     """e(A): edges with at least one end in A, internal edges counted once."""
-    inset = set(A)
+    inset = set(checked_vset(G, A))
     count = 0
     for v in inset:
         for u in G.adj[v]:
@@ -127,7 +136,7 @@ def incident_edge_count(G: Graph, A: Iterable[int]) -> int:
 
 
 def enclave_certificate(G: Graph, A: Iterable[int], t: int) -> EnclaveCertificate:
-    members = vset(A)
+    members = checked_vset(G, A)
     e = incident_edge_count(G, members)
     if not members or e >= t * len(members):
         raise NotAnEnclave(f"e(A)={e} >= t|A|={t * len(members)}")
@@ -135,31 +144,49 @@ def enclave_certificate(G: Graph, A: Iterable[int], t: int) -> EnclaveCertificat
 
 
 def is_enclave(G: Graph, A: Iterable[int], t: int) -> bool:
-    members = vset(A)
+    members = checked_vset(G, A)
     return bool(members) and incident_edge_count(G, members) < t * len(members)
 
 
-def shrink_enclave_to_island(G: Graph, A: Iterable[int], t: int) -> IslandCertificate:
-    """Greedily shrink a t-enclave to a t-island contained in it.
+def peel(
+    G: Graph, W: Iterable[int], t: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Peel W down to the unique maximal t-island inside it.
 
-    While some vertex of the current set has >= t neighbors outside it,
-    delete the smallest such vertex; each deletion preserves the enclave
-    inequality, so the loop ends at a non-empty island.
+    Round 1 is every vertex of W with >= t neighbors outside W; round s+1
+    is every vertex whose outside degree reaches t while round s is
+    removed.  Returns the rounds, each ascending, and the ascending
+    survivors (empty when W holds no t-island).  One outside-degree
+    counter per vertex of W: O(|W| + sum of deg v over W), plus sorting
+    each round.
     """
-    current = set(vset(A))
-    e = incident_edge_count(G, current)
-    if not current or e >= t * len(current):
-        raise NotAnEnclave(f"e(A)={e} >= t|A|={t * len(current)}")
-    while True:
-        offender = None
-        for v in sorted(current):
-            if sum(1 for u in G.adj[v] if u not in current) >= t:
-                offender = v
-                break
-        if offender is None:
-            break
-        current.remove(offender)
-    verdict = is_island(G, current, t)
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    members = checked_vset(G, W)
+    outside = dict.fromkeys(members, 0)  # the vertices not yet removed
+    for v in members:
+        outside[v] = sum(1 for u in G.adj[v] if u not in outside)
+    rounds: list[tuple[int, ...]] = []
+    current = [v for v in members if outside[v] >= t]
+    while current:
+        rounds.append(tuple(current))
+        for v in current:
+            del outside[v]
+        reached: list[int] = []
+        for v in current:
+            for u in G.adj[v]:
+                if u in outside:
+                    outside[u] += 1
+                    if outside[u] == t:
+                        reached.append(u)
+        current = sorted(reached)
+    return tuple(rounds), tuple(outside)
+
+
+def shrink_enclave_to_island(G: Graph, A: Iterable[int], t: int) -> IslandCertificate:
+    """Shrink a t-enclave to the maximal t-island inside it by `peel`."""
+    members = enclave_certificate(G, A, t).members
+    verdict = is_island(G, peel(G, members, t)[1], t)
     assert verdict.ok and verdict.certificate is not None
     return verdict.certificate
 
@@ -184,23 +211,6 @@ def min_island_size_bruteforce(
             if all((masks[v] & out).bit_count() < t for v in combo):
                 return size, combo
     raise AssertionError("V(G) is always a t-island")  # pragma: no cover
-
-
-def max_island_in(G: Graph, W: Iterable[int], t: int) -> tuple[int, ...]:
-    """The unique maximal t-island contained in W (possibly empty).
-
-    Obtained by peeling vertices of W with >= t neighbors outside the
-    current set; any t-island inside W survives the peeling.
-    """
-    current = set(vset(W))
-    changed = True
-    while changed and current:
-        changed = False
-        for v in sorted(current):
-            if sum(1 for u in G.adj[v] if u not in current) >= t:
-                current.remove(v)
-                changed = True
-    return tuple(sorted(current))
 
 
 def density_below(G: Graph, t: int, alpha) -> bool:

@@ -1,8 +1,11 @@
 """t-neighbor bootstrap percolation and its duality with t-islands.
 
 A vertex activates once it has at least t active neighbors; the closure
-is order-independent.  A set percolates iff no t-island avoids it, which
-is what duality_check verifies exhaustively on small graphs.
+is order-independent.  The vertices left inactive are exactly the
+maximal t-island inside V \\ A, so `percolate` is `islands.peel` run on
+the complement of the seeds, each peel round one activation step.  A set
+therefore percolates iff no t-island avoids it, which duality_check
+verifies exhaustively on small graphs.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .islands import (
     IslandCertificate,
     as_fraction,
     is_island,
+    peel,
 )
 
 
@@ -44,33 +48,17 @@ class PercolationRun:
 def percolate(G: Graph, A0, t: int) -> PercolationRun:
     """Run the activation process to its closure.
 
-    FIFO frontier with ascending-id tie-breaks; the closure itself is
-    schedule-independent, the recorded order is just one valid schedule.
+    Step s activates, in ascending order, every vertex that round s of
+    `peel` removes from V \\ A0; the closure itself is schedule-independent,
+    the recorded order is just one valid schedule.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
     seeds = checked_vset(G, A0)
-    active = set(seeds)
-    count = [0] * G.n  # active neighbors of each inactive vertex
-    frontier = list(seeds)
-    order: list[tuple[int, int]] = []
-    step = 0
-    while frontier:
-        step += 1
-        newly: list[int] = []
-        for v in frontier:
-            for u in G.adj[v]:
-                if u in active:
-                    continue
-                count[u] += 1
-        for u in range(G.n):
-            if u not in active and count[u] >= t:
-                newly.append(u)
-        for u in newly:
-            active.add(u)
-            order.append((u, step))
-        frontier = newly
-    return PercolationRun(t, seeds, tuple(sorted(active)), tuple(order))
+    seedset = set(seeds)
+    rounds, island = peel(G, [v for v in range(G.n) if v not in seedset], t)
+    order = tuple((v, step) for step, newly in enumerate(rounds, 1) for v in newly)
+    inactive = set(island)
+    final = tuple(v for v in range(G.n) if v not in inactive)
+    return PercolationRun(t, seeds, final, order)
 
 
 def t_percolates(G: Graph, A0, t: int) -> bool:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .decomposition import (
@@ -29,7 +27,6 @@ from .graphs import (
     Graph,
     MinorModel,
     Separation,
-    components_within,
     gen_complete_bipartite,
     gen_fan,
     induced_subgraph,
@@ -205,13 +202,13 @@ def _bag_linkage(
         raise AuditError(
             f"bag {z} has unequal boundaries ({len(left)} vs {len(right)})"
         )
-    sub, relabel = induced_subgraph(G, P.bags[z])
-    back = {new: old for old, new in relabel.items()}
+    members = vset(P.bags[z])
+    sub, relabel = induced_subgraph(G, members)
     res = find_linkage(sub, [relabel[v] for v in left], [relabel[v] for v in right])
     if isinstance(res, Linkage):
-        return Linkage(tuple(tuple(back[v] for v in p) for p in res.paths))
+        return Linkage(tuple(tuple(members[v] for v in p) for p in res.paths))
     return Separation(
-        vset(back[v] for v in res.left), vset(back[v] for v in res.right)
+        vset(members[v] for v in res.left), vset(members[v] for v in res.right)
     )
 
 
@@ -274,9 +271,7 @@ def _split_at_broken(
     return PathDecomposition(tuple(vset(b) for b in bags))
 
 
-def make_linked(
-    G: Graph, P: PathDecomposition, target_order: int | None = None
-) -> TransformResult:
+def make_linked(G: Graph, P: PathDecomposition) -> TransformResult:
     """Produce a proper linked path decomposition from a proper one.
 
     Follows the inductive recipe: drop to lower adhesion along the edges
@@ -415,9 +410,7 @@ def audit_appearance_universal(P: PathDecomposition) -> AppearanceVerdict:
     return AppearanceVerdict(True)
 
 
-def make_appearance_universal(
-    P: PathDecomposition, target_order: int | None = None
-) -> TransformResult:
+def make_appearance_universal(P: PathDecomposition) -> TransformResult:
     """Coarsen until every vertex appears in all bags or in at most two
     consecutive ones.
 
@@ -523,9 +516,7 @@ def audit_large_interiors(G: Graph, P: PathDecomposition) -> InteriorsVerdict:
     return InteriorsVerdict(True)
 
 
-def make_large_interiors(
-    G: Graph, P: PathDecomposition, target_order: int | None = None
-) -> TransformResult:
+def make_large_interiors(G: Graph, P: PathDecomposition) -> TransformResult:
     """Triple-merge coarsening of a proper appearance-universal path
     decomposition; the result has large interiors."""
     if not P.proper:
@@ -549,8 +540,6 @@ def make_large_interiors(
 @dataclass(frozen=True)
 class ExtendedBag:
     node: int
-    graph: Graph  # induced subgraph of the bag
-    vertex_map: tuple[int, ...]  # local id -> original id
     paths: tuple[tuple[int, ...], ...]  # linkage paths, original ids, by index
     left: tuple[int, ...]  # l(1..p) as original ids
     right: tuple[int, ...]  # r(1..p) as original ids
@@ -608,13 +597,9 @@ def extended_bags(G: Graph, P: PathDecomposition) -> ExtendedBagsResult:
             for i, path in enumerate(oriented):
                 index_of[path[-1]] = i
                 global_paths[i].extend(path[1:])
-        sub, relabel = induced_subgraph(G, P.bags[z])
-        vmap = tuple(sorted(relabel, key=lambda v: relabel[v]))
         out.append(
             ExtendedBag(
                 node=z,
-                graph=sub,
-                vertex_map=vmap,
                 paths=tuple(oriented),
                 left=tuple(p[0] for p in oriented),
                 right=tuple(p[-1] for p in oriented),
@@ -940,18 +925,18 @@ def bounded_tw_island(
         if not removed:
             report["note"] = "recursion made no progress"
             return BoundedTwResult("constants_not_met", report=report)
-        sub, relabel = induced_subgraph(G, sorted(Y))
+        ys = vset(Y)
+        sub, relabel = induced_subgraph(G, ys)
         S_sub = sorted(
             relabel[v] for v in ((S & Y) | (X & Y))
         )
         inner = bounded_tw_island(
             sub, k, S_sub, t, m, l=l, schedule=schedule, _depth=_depth + 1
         )
-        back = {new: old for old, new in relabel.items()}
         report["recursed_on"] = len(Y)
         report["inner_report"] = inner.report
         if inner.kind == "island":
-            members = vset(back[v] for v in inner.island.members)
+            members = vset(ys[v] for v in inner.island.members)
             check = is_island(G, members, t)
             if not check.ok:
                 raise AuditError("recursed island failed re-certification in the host")
@@ -961,7 +946,7 @@ def bounded_tw_island(
         if inner.kind == "minor":
             model = MinorModel(
                 {
-                    h: vset(back[v] for v in bs)
+                    h: vset(ys[v] for v in bs)
                     for h, bs in inner.model.branch_sets.items()
                 }
             )

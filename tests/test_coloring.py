@@ -77,6 +77,11 @@ class TestGreedy:
         col, trace = greedy_clustered_coloring(G, 2, brute_finder)
         assert verify_coloring(G, col, trace.max_island_size).ok
 
+    def test_negative_finder_id_rejected(self):
+        # -1 would otherwise index the last vertex of the residual
+        with pytest.raises(IslandFinderError, match="invalid set"):
+            greedy_clustered_coloring(gen_cycle(5), 2, lambda g, t: [-1])
+
 
 class TestOracle:
     def test_k4_needs_four_colors_at_clustering_one(self):

@@ -1,13 +1,17 @@
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from islandkit.decomposition import (
     DecompositionParseError,
+    DecompositionVerdict,
     Linkage,
     PathDecomposition,
     TreeDecomposition,
+    _tree_violation,
     find_linkage,
     parse_decomposition,
     restore_properness,
@@ -100,6 +104,78 @@ class TestPathDecomposition:
         Q, witness = restore_properness(P)
         assert Q.proper
         assert validate_decomposition(gen_path(4), Q).ok
+
+
+def reference_validate(G: Graph, D) -> DecompositionVerdict:
+    """validate_decomposition as it was before the vertex-to-bags index:
+    every edge and every vertex tested against every bag."""
+    bags = D.bags
+    if not bags:
+        return DecompositionVerdict(G.n == 0, None if G.n == 0 else "no bags")
+    for i, bag in enumerate(bags):
+        outside = [v for v in bag if not 0 <= v < G.n]
+        if outside:
+            return DecompositionVerdict(False, f"bag {i} names vertex {outside[0]} outside the graph")
+    if isinstance(D, TreeDecomposition):
+        violation = _tree_violation(len(bags), D.edges)
+        if violation is not None:
+            return DecompositionVerdict(False, violation)
+    bag_sets = [set(b) for b in bags]
+    for u, v in G.edges():
+        if not any(u in b and v in b for b in bag_sets):
+            return DecompositionVerdict(False, f"edge ({u},{v}) uncovered")
+    if isinstance(D, PathDecomposition):
+        for v in range(G.n):
+            hits = [i for i, b in enumerate(bag_sets) if v in b]
+            if not hits:
+                return DecompositionVerdict(False, f"vertex {v} in no bag")
+            if hits != list(range(hits[0], hits[-1] + 1)):
+                return DecompositionVerdict(False, f"vertex {v} trace not consecutive")
+        return DecompositionVerdict(True, adhesion=D.adhesion, width=D.width, proper=D.proper)
+    adj = D.adjacency()
+    for v in range(G.n):
+        hits = {i for i, b in enumerate(bag_sets) if v in b}
+        if not hits:
+            return DecompositionVerdict(False, f"vertex {v} in no bag")
+        seen = {min(hits)}
+        queue = deque(seen)
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y in hits and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        if seen != hits:
+            return DecompositionVerdict(False, f"vertex {v} trace not connected")
+    return DecompositionVerdict(True, width=D.width)
+
+
+@st.composite
+def decompositions(draw, n: int):
+    """Hand-built bags (unsorted, with repeats and stray ids) as a path or
+    as a tree whose edges are usually, not always, a spanning tree."""
+    k = draw(st.integers(min_value=0, max_value=6))
+    ids = st.integers(min_value=0, max_value=n - 1) if draw(st.booleans()) else st.integers(-1, n)
+    bags = tuple(tuple(draw(st.lists(ids, max_size=n + 2))) for _ in range(k))
+    if draw(st.booleans()):
+        return PathDecomposition(bags)
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+    if draw(st.integers(0, 3)) == 0:
+        edges.append((draw(st.integers(-1, k)), draw(st.integers(-1, k))))
+    return TreeDecomposition(bags, tuple(edges))
+
+
+class TestValidateIndex:
+    @given(graphs(max_n=6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bag_scan(self, G, data):
+        D = data.draw(decompositions(G.n))
+        assert validate_decomposition(G, D) == reference_validate(G, D)
+
+    def test_repeated_ids_in_a_bag_are_harmless(self):
+        P = PathDecomposition(((1, 0, 1), (2, 1, 2, 2), (3, 2)))
+        verdict = validate_decomposition(gen_path(4), P)
+        assert verdict.ok and verdict.adhesion == 1
 
 
 class TestFullDefinition:

@@ -94,6 +94,22 @@ class TestEnclaves:
         assert cert.members  # enclaves never shrink to nothing
         assert is_island(G, cert.members, t).ok
 
+    def test_negative_id_rejected_by_incident_edge_count(self):
+        # -1 once indexed the last vertex and counted its edge
+        with pytest.raises(GraphValidityError, match="vertex -1"):
+            incident_edge_count(gen_path(3), [-1])
+
+    def test_negative_id_rejected_by_enclave_certificate(self):
+        # -1 once appeared in the certificate's set
+        with pytest.raises(GraphValidityError, match="vertex -1"):
+            enclave_certificate(gen_path(3), [-1, 0], 2)
+
+    def test_out_of_range_id_rejected_by_is_enclave(self):
+        with pytest.raises(GraphValidityError, match="vertex -1"):
+            is_enclave(gen_path(3), [-1, 0], 2)
+        with pytest.raises(GraphValidityError, match="vertex 3"):
+            is_enclave(gen_path(3), [0, 3], 2)
+
 
 class TestBruteForce:
     def test_k23_min_2_island(self):
