@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence
 
 from .decomposition import (
@@ -41,12 +42,19 @@ class AuditError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class AuditVerdict:
+    """Outcome of the appearance-universality or large-interiors audit."""
+
+    ok: bool
+    violation: str | None = None
+
+
+@dataclass(frozen=True)
 class TransformResult:
     decomposition: PathDecomposition
     # interval partition of input bags witnessing a coarsening, or None
     # when the transform is not a pure coarsening (tree input, bag splits)
     intervals: tuple[tuple[int, int], ...] | None
-    notes: tuple[str, ...] = ()
 
 
 def coarsen_by_blocks(
@@ -67,6 +75,12 @@ def coarsen_by_blocks(
     if expected != P.order:
         raise ValueError(f"blocks do not tile the path: {blocks}")
     return PathDecomposition(tuple(bags))
+
+
+def _cut_after(cuts: Sequence[int], order: int) -> list[tuple[int, int]]:
+    """Blocks of bags 0..order-1 that end at each cut edge i (between bags
+    i and i+1) and at the last bag; cuts ascend."""
+    return list(zip([0] + [i + 1 for i in cuts], list(cuts) + [order - 1]))
 
 
 def _compose_intervals(
@@ -99,9 +113,9 @@ def verify_coarsening(
 
 def _tree_path_bags(
     T: TreeDecomposition, adj: list[list[int]], nodes: list[int]
-) -> tuple[list[tuple[int, ...]], str]:
+) -> list[tuple[int, ...]]:
     if len(nodes) <= 1:  # none only for the empty graph's empty tree
-        return [T.bags[z] for z in nodes], "single bag"
+        return [T.bags[z] for z in nodes]
     degrees = {z: len(adj[z]) for z in nodes}
     hub = max(nodes, key=lambda z: degrees[z])
 
@@ -141,7 +155,7 @@ def _tree_path_bags(
             for x in comp:
                 merged.update(T.bags[x])
             bags.append(vset(merged))
-        return bags, f"star case around node {hub} (degree {degrees[hub]})"
+        return bags
     spine_set = set(spine)
     bags = []
     for z in spine:
@@ -156,10 +170,10 @@ def _tree_path_bags(
         for x in comp:
             merged.update(T.bags[x])
         bags.append(vset(merged))
-    return bags, f"spine case with {len(spine)} nodes"
+    return bags
 
 
-def tree_to_path(G: Graph, T: TreeDecomposition, n: int = 1) -> TransformResult:
+def tree_to_path(G: Graph, T: TreeDecomposition) -> TransformResult:
     """Turn a tree decomposition into a proper path decomposition of
     adhesion at most the bag-size bound.
 
@@ -179,12 +193,11 @@ def tree_to_path(G: Graph, T: TreeDecomposition, n: int = 1) -> TransformResult:
             if y not in seen:
                 seen.add(y)
                 order.append(y)
-    bags, note = _tree_path_bags(T, adj, order)
-    P, _ = restore_properness(PathDecomposition(tuple(bags)))
+    P, _ = restore_properness(PathDecomposition(tuple(_tree_path_bags(T, adj, order))))
     verdict = validate_decomposition(G, P)
     if not verdict.ok or not P.proper:
         raise AuditError(f"tree_to_path produced an invalid result: {verdict.violation}")
-    return TransformResult(P, None, (note, f"achieved order {P.order} (target {n})"))
+    return TransformResult(P, None)
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +225,80 @@ def _bag_linkage(
     )
 
 
+def bag_linkages(
+    G: Graph, P: PathDecomposition
+) -> dict[int, Linkage | Separation]:
+    """The Menger result of every internal bag: a linkage from its left
+    boundary to its right boundary, or a separation of order below the
+    boundary size.  This is the only max-flow call the surgery makes per
+    bag; every other use of a bag's linkage reads this result."""
+    return {z: _bag_linkage(G, P, z) for z in range(1, P.order - 1)}
+
+
 def broken_bags(G: Graph, P: PathDecomposition) -> dict[int, Separation]:
     """Internal bags admitting a separation of order below the boundary
     size (Menger's obstruction to a linkage)."""
-    out: dict[int, Separation] = {}
-    for z in range(1, P.order - 1):
-        res = _bag_linkage(G, P, z)
-        if isinstance(res, Separation):
-            out[z] = res
-    return out
+    return {
+        z: res for z, res in bag_linkages(G, P).items() if isinstance(res, Separation)
+    }
+
+
+def _linkage_violation(
+    G: Graph, P: PathDecomposition, z: int, res: Linkage | Separation
+) -> str | None:
+    """Why res is not a linkage of the internal bag z, or None.  Checked
+    as a certificate in time linear in the paths: each path is nonempty,
+    lies in the bag and steps along edges of G, the paths are pairwise
+    disjoint, and they start at the left boundary and end at the right."""
+    if not isinstance(res, Linkage):
+        return f"bag {z} is broken"
+    bag = set(P.bags[z])
+    seen: set[int] = set()
+    for path in res.paths:
+        if not path:
+            return f"linkage of bag {z} has an empty path"
+        for i, v in enumerate(path):
+            if v not in bag:
+                return f"linkage of bag {z} leaves the bag at vertex {v}"
+            if v in seen:
+                return f"linkage of bag {z} visits vertex {v} twice"
+            seen.add(v)
+            if i and not G.has_edge(path[i - 1], v):
+                return f"linkage of bag {z} steps along non-edge ({path[i - 1]},{v})"
+    # the paths are disjoint, so equal sets mean one path per boundary vertex
+    if vset(p[0] for p in res.paths) != P.boundary(z - 1, z):
+        return f"linkage of bag {z} does not start at its left boundary"
+    if vset(p[-1] for p in res.paths) != P.boundary(z, z + 1):
+        return f"linkage of bag {z} does not end at its right boundary"
+    return None
 
 
 @dataclass(frozen=True)
 class LinkedVerdict:
     ok: bool
     violation: str | None = None
+    # internal bag -> its linkage, each checked by _linkage_violation (when ok)
+    linkages: dict[int, Linkage] = field(default_factory=dict)
+
+
+def _checked_linkages(
+    G: Graph, P: PathDecomposition, linkages: dict[int, Linkage | Separation]
+) -> LinkedVerdict:
+    """Check the Menger result of every internal bag as a certificate."""
+    for z in range(1, P.order - 1):
+        violation = _linkage_violation(G, P, z, linkages[z])
+        if violation is not None:
+            return LinkedVerdict(False, violation)
+    return LinkedVerdict(True, linkages=linkages)
 
 
 def audit_linked(G: Graph, P: PathDecomposition) -> LinkedVerdict:
-    """Every internal bag must carry a full boundary-to-boundary linkage."""
+    """Every internal bag must carry a full boundary-to-boundary linkage.
+
+    From scratch: each bag's linkage is found once (bag_linkages) and then
+    checked as a certificate, never recomputed; an ok verdict carries the
+    checked linkages for its callers to use.
+    """
     for z in range(1, P.order - 1):
         left = P.boundary(z - 1, z)
         right = P.boundary(z, z + 1)
@@ -238,9 +306,7 @@ def audit_linked(G: Graph, P: PathDecomposition) -> LinkedVerdict:
             return LinkedVerdict(
                 False, f"bag {z} boundaries differ in size ({len(left)} vs {len(right)})"
             )
-        if isinstance(_bag_linkage(G, P, z), Separation):
-            return LinkedVerdict(False, f"bag {z} is broken")
-    return LinkedVerdict(True)
+    return _checked_linkages(G, P, bag_linkages(G, P))
 
 
 def _split_at_broken(
@@ -249,25 +315,16 @@ def _split_at_broken(
     """Split every broken bag along its separation and merge the stretches
     between consecutive broken bags; all new adjacent intersections are
     the (small) separation cuts, so the adhesion strictly drops."""
-    zs = sorted(broken)
     bags: list[set[int]] = []
-    current: set[int] = set()
     start = 0
-    for z in zs:
-        sep = broken[z]
-        current = set()
+    for z in sorted(broken):
+        stretch = set(broken[z].left)
         for i in range(start, z):
-            current.update(P.bags[i])
-        current.update(sep.left)
-        bags.append(current)
-        current = set(sep.right)
+            stretch.update(P.bags[i])
+        bags += [stretch, set(broken[z].right)]
         start = z + 1
-        # carry sep.right into the next stretch
-        bags.append(current)
-    tail = bags.pop()
-    for i in range(start, P.order):
-        tail.update(P.bags[i])
-    bags.append(tail)
+    for i in range(start, P.order):  # the tail joins the last right side
+        bags[-1].update(P.bags[i])
     return PathDecomposition(tuple(vset(b) for b in bags))
 
 
@@ -277,106 +334,70 @@ def make_linked(G: Graph, P: PathDecomposition) -> TransformResult:
     Follows the inductive recipe: drop to lower adhesion along the edges
     of small intersection when that preserves more order, otherwise make
     the adhesion uniform, split away broken bags (detected via Menger),
-    or keep a window of consecutive unbroken bags.  The achieved order is
-    reported, never fabricated.
+    or keep a window of consecutive unbroken bags.  Each bag's linkage is
+    found once, by the Menger call that decides whether it is broken; the
+    chosen result's linkages are then checked as certificates, not
+    recomputed.  The achieved order is reported, never fabricated.
     """
     verdict = validate_decomposition(G, P)
     if not verdict.ok:
         raise AuditError(f"invalid path decomposition: {verdict.violation}")
     P, _ = restore_properness(P)
-    result, notes = _make_linked_rec(G, P, [])
-    final = audit_linked(G, result)
+    result, linkages = _make_linked_rec(G, P)
+    final = _checked_linkages(G, result, linkages)
     if not final.ok:
         raise AuditError(f"make_linked failed its own audit: {final.violation}")
-    return TransformResult(result, None, tuple(notes))
+    return TransformResult(result, None)
 
 
 def _make_linked_rec(
-    G: Graph, P: PathDecomposition, notes: list[str]
-) -> tuple[PathDecomposition, list[str]]:
-    p = P.adhesion
+    G: Graph, P: PathDecomposition
+) -> tuple[PathDecomposition, dict[int, Linkage | Separation]]:
+    sizes = [len(set(P.bags[i]) & set(P.bags[i + 1])) for i in range(P.order - 1)]
+    p = max(sizes, default=0)  # the adhesion
     if p == 0 or P.order <= 2:
-        return P, notes + [f"linked vacuously at adhesion {p}, order {P.order}"]
-    options: list[tuple[PathDecomposition, list[str]]] = []
+        # every boundary is empty: each internal bag carries the empty linkage
+        return P, {z: Linkage(()) for z in range(1, P.order - 1)}
+    options: list[tuple[PathDecomposition, dict[int, Linkage | Separation]]] = []
 
-    low = [
-        i
-        for i in range(P.order - 1)
-        if len(set(P.bags[i]) & set(P.bags[i + 1])) < p
-    ]
+    low = [i for i, size in enumerate(sizes) if size < p]
     if low:
         # option A: cut at the small-intersection edges -> adhesion <= p-1
-        blocks = []
-        start = 0
-        for i in low:
-            blocks.append((start, i))
-            start = i + 1
-        blocks.append((start, P.order - 1))
-        A = coarsen_by_blocks(P, blocks)
-        A, _ = restore_properness(A)
-        options.append(
-            _make_linked_rec(G, A, notes + [f"cut at {len(low)} low-adhesion edges"])
-        )
+        A, _ = restore_properness(coarsen_by_blocks(P, _cut_after(low, P.order)))
+        options.append(_make_linked_rec(G, A))
         # option B: merge the small-intersection edges away -> uniform p
-        blocks = []
-        start = 0
-        for i in range(P.order - 1):
-            if i not in set(low):
-                blocks.append((start, i))
-                start = i + 1
-        blocks.append((start, P.order - 1))
-        B = coarsen_by_blocks(P, blocks)
-        B, _ = restore_properness(B)
+        high = [i for i, size in enumerate(sizes) if size == p]
+        B, _ = restore_properness(coarsen_by_blocks(P, _cut_after(high, P.order)))
     else:
         B = P
     if B.order <= 2 or B.adhesion == 0:
-        options.append((B, notes + ["uniform branch collapsed to trivial order"]))
+        options.append(_make_linked_rec(G, B))  # linked vacuously
     else:
-        broken = broken_bags(G, B)
+        linkages = bag_linkages(G, B)
+        broken = {
+            z: res for z, res in linkages.items() if isinstance(res, Separation)
+        }
         if not broken:
-            options.append((B, notes + [f"uniform adhesion {B.adhesion}, no broken bags"]))
+            options.append((B, linkages))
         else:
             split = _split_at_broken(B, broken)
             split, _ = restore_properness(split)
-            options.append(
-                _make_linked_rec(
-                    G, split, notes + [f"split at {len(broken)} broken bags"]
-                )
-            )
-            # window of consecutive unbroken internal bags
-            internal = list(range(1, B.order - 1))
-            best_run: tuple[int, int] | None = None
-            run_start = None
-            for z in internal + [None]:
-                if z is not None and z not in broken:
-                    if run_start is None:
-                        run_start = z
-                else:
-                    if run_start is not None:
-                        end = (z - 1) if z is not None else internal[-1]
-                        if best_run is None or end - run_start > best_run[1] - best_run[0]:
-                            best_run = (run_start, end)
-                        run_start = None
-            if best_run is not None:
-                a, b = best_run
-                blocks = []
-                if a > 1:
-                    blocks.append((0, a - 1))
-                    blocks.extend((i, i) for i in range(a, b + 1))
-                else:
-                    blocks.extend((i, i) for i in range(0, b + 1))
-                if b < B.order - 2:
-                    blocks.append((b + 1, B.order - 1))
-                else:
-                    blocks.extend((i, i) for i in range(b + 1, B.order))
-                W = coarsen_by_blocks(B, blocks)
-                W, _ = restore_properness(W)
-                if audit_linked(G, W).ok:
-                    options.append(
-                        (W, notes + [f"kept unbroken window {a}..{b}"])
-                    )
-    best = max(options, key=lambda opt: opt[0].order)
-    return best
+            options.append(_make_linked_rec(G, split))
+            # window: the first longest run of consecutive unbroken internal
+            # bags, the bags before it merged into one and those after into one
+            runs = [
+                list(zs)
+                for is_broken, zs in groupby(range(1, B.order - 1), lambda z: z in broken)
+                if not is_broken
+            ]
+            if runs:
+                run = max(runs, key=len)
+                cuts = range(run[0] - 1, run[-1] + 1)
+                W, _ = restore_properness(coarsen_by_blocks(B, _cut_after(cuts, B.order)))
+                window = audit_linked(G, W)
+                if window.ok:
+                    options.append((W, window.linkages))
+    return max(options, key=lambda opt: opt[0].order)
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +415,14 @@ def _vertex_runs(P: PathDecomposition) -> dict[int, tuple[int, int]]:
     return runs
 
 
-@dataclass(frozen=True)
-class AppearanceVerdict:
-    ok: bool
-    violation: str | None = None
-
-
-def audit_appearance_universal(P: PathDecomposition) -> AppearanceVerdict:
+def audit_appearance_universal(P: PathDecomposition) -> AuditVerdict:
     for v, (a, b) in _vertex_runs(P).items():
         span = b - a + 1
         if span > 2 and span != P.order:
-            return AppearanceVerdict(
+            return AuditVerdict(
                 False, f"vertex {v} appears in {span} of {P.order} bags"
             )
-    return AppearanceVerdict(True)
+    return AuditVerdict(True)
 
 
 def make_appearance_universal(P: PathDecomposition) -> TransformResult:
@@ -418,21 +433,21 @@ def make_appearance_universal(P: PathDecomposition) -> TransformResult:
     recurse, re-add it everywhere) or merge the path into blocks as long
     as the longest remaining run; the branch keeping more order wins.
     """
-    result, intervals, notes = _appuniv_rec(P)
+    result, intervals = _appuniv_rec(P)
     verify_coarsening(P, result, intervals)
     verdict = audit_appearance_universal(result)
     if not verdict.ok:
         raise AuditError(f"appearance-universality audit failed: {verdict.violation}")
-    return TransformResult(result, intervals, tuple(notes))
+    return TransformResult(result, intervals)
 
 
 def _appuniv_rec(
     P: PathDecomposition,
-) -> tuple[PathDecomposition, tuple[tuple[int, int], ...], list[str]]:
+) -> tuple[PathDecomposition, tuple[tuple[int, int], ...]]:
     order = P.order
     identity = tuple((i, i) for i in range(order))
     if order <= 2:
-        return P, identity, [f"trivial at order {order}"]
+        return P, identity
     runs = _vertex_runs(P)
     partial = {
         v: (a, b)
@@ -440,16 +455,16 @@ def _appuniv_rec(
         if (b - a + 1) > 2 and (b - a + 1) != order
     }
     if not partial:
-        return P, identity, ["already appearance-universal"]
+        return P, identity
     max_run = max(b - a + 1 for a, b in partial.values())
-    options: list[tuple[PathDecomposition, tuple[tuple[int, int], ...], list[str]]] = []
+    options: list[tuple[PathDecomposition, tuple[tuple[int, int], ...]]] = []
 
     # block-merge branch: blocks of the longest run length
     blocks = [
         (s, min(s + max_run - 1, order - 1)) for s in range(0, order, max_run)
     ]
     merged = coarsen_by_blocks(P, blocks)
-    options.append((merged, tuple(blocks), [f"block merge with width {max_run}"]))
+    options.append((merged, tuple(blocks)))
 
     if max_run > 2:
         # peel branch: restrict to the longest run, drop the vertex, recurse
@@ -467,25 +482,12 @@ def _appuniv_rec(
         peeled = PathDecomposition(
             tuple(vset(set(bag) - {v}) for bag in restricted.bags)
         )
-        sub_result, sub_intervals, sub_notes = _appuniv_rec(peeled)
+        sub_result, sub_intervals = _appuniv_rec(peeled)
         readded = PathDecomposition(
             tuple(vset(set(bag) | {v}) for bag in sub_result.bags)
         )
-        intervals = _compose_intervals(sub_intervals, outer_intervals)
-        options.append(
-            (
-                readded,
-                intervals,
-                [f"peeled vertex {v} over run {a}..{b}"] + sub_notes,
-            )
-        )
+        options.append((readded, _compose_intervals(sub_intervals, outer_intervals)))
     return max(options, key=lambda opt: opt[0].order)
-
-
-@dataclass(frozen=True)
-class InteriorsVerdict:
-    ok: bool
-    violation: str | None = None
 
 
 def internal_vertices(P: PathDecomposition) -> dict[int, tuple[int, ...]]:
@@ -497,23 +499,23 @@ def internal_vertices(P: PathDecomposition) -> dict[int, tuple[int, ...]]:
     return {i: tuple(sorted(vs)) for i, vs in out.items()}
 
 
-def audit_large_interiors(G: Graph, P: PathDecomposition) -> InteriorsVerdict:
+def audit_large_interiors(G: Graph, P: PathDecomposition) -> AuditVerdict:
     """Every internal bag holds an internal vertex, and no internal vertex
     touches both exclusive sides of its bag's neighbors."""
     interiors = internal_vertices(P)
     for z in range(1, P.order - 1):
         if not interiors[z]:
-            return InteriorsVerdict(False, f"internal bag {z} has no internal vertex")
+            return AuditVerdict(False, f"internal bag {z} has no internal vertex")
         left_only = set(P.bags[z - 1]) - set(P.bags[z + 1])
         right_only = set(P.bags[z + 1]) - set(P.bags[z - 1])
         for v in interiors[z]:
             nbrs = set(G.adj[v])
             if nbrs & left_only and nbrs & right_only:
-                return InteriorsVerdict(
+                return AuditVerdict(
                     False,
                     f"internal vertex {v} of bag {z} touches both exclusive sides",
                 )
-    return InteriorsVerdict(True)
+    return AuditVerdict(True)
 
 
 def make_large_interiors(G: Graph, P: PathDecomposition) -> TransformResult:
@@ -530,7 +532,7 @@ def make_large_interiors(G: Graph, P: PathDecomposition) -> TransformResult:
     final = audit_large_interiors(G, result)
     if not final.ok:
         raise AuditError(f"large-interiors audit failed: {final.violation}")
-    return TransformResult(result, tuple(blocks), (f"triple merge to order {result.order}",))
+    return TransformResult(result, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -554,49 +556,40 @@ class ExtendedBagsResult:
 def extended_bags(G: Graph, P: PathDecomposition) -> ExtendedBagsResult:
     """Per-internal-bag linkages stitched into p global disjoint paths.
 
-    Path indices are aligned across consecutive bags: the right endpoint
-    of path i in one bag is the left endpoint of path i in the next.
+    Linkedness is audited once, and the stitched linkages are the audit's
+    own, each already checked as a certificate: every path runs from its
+    bag's left boundary to its right boundary.  Path indices are aligned
+    across consecutive bags: the right endpoint of path i in one bag is
+    the left endpoint of path i in the next.
     """
     verdict = audit_linked(G, P)
     if not verdict.ok:
         raise AuditError(f"decomposition is not linked: {verdict.violation}")
-    internal = list(range(1, P.order - 1))
-    if not internal:
+    if P.order <= 2:
         return ExtendedBagsResult((), ())
     out: list[ExtendedBag] = []
-    index_of: dict[int, int] = {}  # boundary vertex -> global path index
-    global_paths: list[list[int]] = []
-    for z in internal:
-        res = _bag_linkage(G, P, z)
-        assert isinstance(res, Linkage)
-        left_boundary = set(P.boundary(z - 1, z))
-        oriented: list[tuple[int, ...]] = []
-        for path in res.paths:
-            if path[0] in left_boundary:
-                oriented.append(path)
-            else:
-                oriented.append(tuple(reversed(path)))
-        if z == internal[0]:
-            oriented.sort(key=lambda p: p[0])
-            for i, path in enumerate(oriented):
-                index_of[path[-1]] = i
-                global_paths.append(list(path))
-        else:
-            ordered: list[tuple[int, ...] | None] = [None] * len(oriented)
-            for path in oriented:
-                i = index_of.get(path[0])
-                if i is None:
-                    raise AuditError(
-                        f"linkage of bag {z} does not stitch at vertex {path[0]}"
-                    )
-                ordered[i] = path
-            oriented = [p for p in ordered if p is not None]
-            if len(oriented) != len(ordered):
-                raise AuditError(f"linkage of bag {z} does not stitch")
-            index_of = {}
-            for i, path in enumerate(oriented):
-                index_of[path[-1]] = i
-                global_paths[i].extend(path[1:])
+    # boundary vertex -> global path index; the paths are numbered in the
+    # order of the first internal bag's sorted left boundary
+    first = P.boundary(0, 1)
+    index_of = {v: i for i, v in enumerate(first)}
+    global_paths = [[v] for v in first]
+    for z in range(1, P.order - 1):
+        linkage = verdict.linkages[z].paths
+        ordered: list[tuple[int, ...] | None] = [None] * len(linkage)
+        for path in linkage:
+            i = index_of.get(path[0])
+            if i is None:
+                raise AuditError(
+                    f"linkage of bag {z} does not stitch at vertex {path[0]}"
+                )
+            ordered[i] = path
+        oriented = [p for p in ordered if p is not None]
+        if len(oriented) != len(ordered):
+            raise AuditError(f"linkage of bag {z} does not stitch")
+        index_of = {}
+        for i, path in enumerate(oriented):
+            index_of[path[-1]] = i
+            global_paths[i].extend(path[1:])
         out.append(
             ExtendedBag(
                 node=z,
@@ -644,13 +637,15 @@ def island_or_minor(
 
     The minor branch buckets non-island bags by their signature; a bucket
     of size m yields the minor by contracting global linkage paths.
+    t, m and l must be at least 1.
     """
+    for name, value in (("t", t), ("m", m), ("l", l)):
+        if value < 1:
+            raise ValueError(f"island_or_minor needs {name} >= 1, got {name}={value}")
     verdict = validate_decomposition(G, P)
     if not verdict.ok:
         raise AuditError(f"invalid decomposition: {verdict.violation}")
-    lv = audit_linked(G, P)
-    if not lv.ok:
-        raise AuditError(f"not linked: {lv.violation}")
+    eb = extended_bags(G, P)  # the one linkedness audit
     iv = audit_large_interiors(G, P)
     if not iv.ok:
         raise AuditError(f"no large interiors: {iv.violation}")
@@ -677,7 +672,6 @@ def island_or_minor(
             "order_too_small",
             note=f"only {len(internal)} internal bags, all islands, window l={l} not reached",
         )
-    eb = extended_bags(G, P)
     path_index = {
         v: i for i, path in enumerate(eb.global_paths) for v in path
     }
@@ -720,8 +714,7 @@ def island_or_minor(
             "order_too_small",
             note=f"largest signature bucket below m={m}: {sizes}",
         )
-    members = buckets[best_sig][:m] if best_sig.sigma_z not in best_sig.sigma else buckets[best_sig]
-    return _build_minor(G, eb, best_sig, members, t, m)
+    return _build_minor(G, eb, best_sig, buckets[best_sig], t, m)
 
 
 def _build_minor(
@@ -878,7 +871,7 @@ def bounded_tw_island(
     report: dict = {"n": G.n, "k": k, "t": t, "m": m, "l": l, "depth": _depth}
     if schedule is not None:
         report["schedule"] = schedule.describe()
-    stage = tree_to_path(G, decomposition, schedule.n1 if schedule else 1)
+    stage = tree_to_path(G, decomposition)
     report["path_order"] = stage.decomposition.order
     linked = make_linked(G, stage.decomposition)
     report["linked_order"] = linked.decomposition.order
@@ -903,8 +896,7 @@ def bounded_tw_island(
         )
     if result.kind == "islands":
         P = interiors.decomposition
-        ivs = internal_vertices(P)
-        for z, cert in zip(result.window, result.certificates):
+        for cert in result.certificates:
             if not set(cert.members) & S:
                 report["window"] = list(result.window)
                 return BoundedTwResult("island", island=cert, report=report)
@@ -913,13 +905,13 @@ def bounded_tw_island(
         if _depth >= 20:
             report["note"] = "recursion depth exhausted"
             return BoundedTwResult("constants_not_met", report=report)
-        half = result.window[: max(1, len(result.window) // 2)]
+        half = set(result.window[: max(1, len(result.window) // 2)])
         X: set[int] = set()
         for z in half:
             X.update(P.bags[z])
         Y: set[int] = set()
         for z in range(P.order):
-            if z not in set(half):
+            if z not in half:
                 Y.update(P.bags[z])
         removed = X - Y
         if not removed:

@@ -90,6 +90,21 @@ class TestPathdecomp:
         pd.write_text(write_decomposition(P))
         assert main(["pathdecomp", str(graph), str(pd), "largeint,extract", "2", "9", "9"]) == 2
 
+    @pytest.mark.parametrize(
+        "t,m,l,name",
+        [("2", "3", "-1", "l"), ("2", "3", "0", "l"), ("2", "0", "1", "m"), ("0", "3", "1", "t")],
+    )
+    def test_parameters_below_one_are_errors(self, tmp_path, capsys, t, m, l, name):
+        graph = tmp_path / "p12.txt"
+        main(["gen", "path", "12", str(graph)])
+        P = PathDecomposition(tuple(vset([i, i + 1]) for i in range(11)))
+        pd = tmp_path / "p12.pd"
+        pd.write_text(write_decomposition(P))
+        capsys.readouterr()
+        chain = "appuniv,largeint,extract"
+        assert main(["--json", "pathdecomp", str(graph), str(pd), chain, t, m, l]) == 1
+        assert f"needs {name} >= 1" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_island_ok(self, k23):

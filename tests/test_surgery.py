@@ -1,6 +1,8 @@
 import pytest
 
+from islandkit import surgery
 from islandkit.decomposition import (
+    Linkage,
     PathDecomposition,
     TreeDecomposition,
     treewidth_decomposition,
@@ -8,6 +10,7 @@ from islandkit.decomposition import (
 )
 from islandkit.graphs import (
     Graph,
+    Separation,
     gen_complete_bipartite,
     gen_cycle,
     gen_fan,
@@ -19,10 +22,12 @@ from islandkit.islands import is_island
 from islandkit.surgery import (
     AuditError,
     BoundedTwResult,
+    _linkage_violation,
     ConstantSchedule,
     audit_appearance_universal,
     audit_large_interiors,
     audit_linked,
+    bag_linkages,
     bounded_tw_island,
     broken_bags,
     coarsen_by_blocks,
@@ -277,6 +282,16 @@ class TestIslandOrMinor:
         for cert in result.certificates:
             assert is_island(G, cert.members, 2).ok
 
+    @pytest.mark.parametrize(
+        "name,t,m,l", [("t", 0, 3, 2), ("m", 2, 0, 2), ("l", 2, 3, 0), ("l", 2, 3, -1)]
+    )
+    def test_parameters_below_one_rejected(self, name, t, m, l):
+        G = gen_path(12)
+        P = PathDecomposition(tuple(vset([i, i + 1]) for i in range(11)))
+        li = make_large_interiors(G, P).decomposition
+        with pytest.raises(ValueError, match=f"needs {name} >= 1"):
+            island_or_minor(G, li, t=t, m=m, l=l)
+
     def test_short_input_honest_negative(self):
         G = gen_path(6)
         P = PathDecomposition(tuple(vset([i, i + 1]) for i in range(5)))
@@ -318,3 +333,102 @@ class TestBoundedTwPipeline:
         result = bounded_tw_island(G, k=1, S=[], t=2, m=3, l=2)
         for key in ("path_order", "linked_order", "large_interiors_order"):
             assert key in result.report
+
+
+class TestLinkageCertificate:
+    """Every way a linkage of the middle bag of a triple-merged 10-ladder
+    can be wrong is rejected, with the reason named.  The bag holds
+    columns 3..6; its paths are (3,4,5,6) and (13,14,15,16)."""
+
+    G = ladder(10)
+    P = coarsen_by_blocks(ladder_decomposition(10), [(0, 2), (3, 5), (6, 8)])
+    GOOD = ((3, 4, 5, 6), (13, 14, 15, 16))
+
+    BAD = [
+        ("vertex dropped inside", ((3, 5, 6), (13, 14, 15, 16)), "non-edge (3,5)"),
+        ("vertex dropped at the end", ((3, 4, 5), (13, 14, 15, 16)), "does not end"),
+        ("non-edge step", ((3, 5, 4, 6), (13, 14, 15, 16)), "non-edge (3,5)"),
+        ("vertex outside the bag", ((2, 3, 4, 5, 6), (13, 14, 15, 16)), "bag at vertex 2"),
+        ("paths share a vertex", ((3, 4, 5, 6), (13, 14, 4, 5, 15, 16)), "visits vertex 4 twice"),
+        ("endpoints swapped", ((6, 5, 4, 3), (13, 14, 15, 16)), "does not start"),
+        ("path missing", ((13, 14, 15, 16),), "does not start"),
+        ("empty path", ((3, 4, 5, 6), (13, 14, 15, 16), ()), "empty path"),
+    ]
+
+    def test_good_linkage_accepted(self):
+        assert self.P.bags[1] == (3, 4, 5, 6, 13, 14, 15, 16)
+        assert _linkage_violation(self.G, self.P, 1, Linkage(self.GOOD)) is None
+        assert audit_linked(self.G, self.P).linkages[1] == Linkage(self.GOOD)
+
+    @pytest.mark.parametrize("case,paths,reason", BAD, ids=[c[0] for c in BAD])
+    def test_violation_named(self, case, paths, reason):
+        assert reason in _linkage_violation(self.G, self.P, 1, Linkage(paths))
+
+    def test_separation_is_broken(self):
+        sep = Separation((3, 4, 13, 14), (4, 5, 6, 14, 15, 16))
+        assert _linkage_violation(self.G, self.P, 1, sep) == "bag 1 is broken"
+
+    @pytest.mark.parametrize(
+        "forged",
+        [Linkage(paths) for _, paths, _ in BAD]
+        + [Separation((3, 4, 13, 14), (4, 5, 6, 14, 15, 16))],
+    )
+    def test_audit_rejects_forged_menger_result(self, monkeypatch, forged):
+        real = surgery._bag_linkage
+        monkeypatch.setattr(
+            surgery, "_bag_linkage", lambda G, P, z: forged if z == 1 else real(G, P, z)
+        )
+        verdict = audit_linked(self.G, self.P)
+        assert not verdict.ok
+        assert verdict.violation == _linkage_violation(self.G, self.P, 1, forged)
+        with pytest.raises(AuditError):
+            extended_bags(self.G, self.P)
+
+    def test_make_linked_rejects_forged_menger_result(self, monkeypatch):
+        G, P = ladder(8), ladder_decomposition(8)
+        real = surgery._bag_linkage
+        forged = Linkage(((2, 3), (11,)))  # bag 2 is {2, 3, 10, 11}
+        monkeypatch.setattr(
+            surgery, "_bag_linkage", lambda G, P, z: forged if z == 2 else real(G, P, z)
+        )
+        with pytest.raises(AuditError, match="failed its own audit"):
+            make_linked(G, P)
+
+    def test_bag_linkages_one_result_per_internal_bag(self):
+        results = bag_linkages(self.G, self.P)
+        assert results == {1: Linkage(self.GOOD)}
+
+
+class TestOneLinkagePerBag:
+    """Each bag's Menger linkage is found once per decomposition."""
+
+    def _count(self, monkeypatch):
+        calls = []
+        real = surgery.find_linkage
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(surgery, "find_linkage", counted)
+        return calls
+
+    def test_make_linked_on_linked_ladder(self, monkeypatch):
+        G, P = ladder(8), ladder_decomposition(8)
+        calls = self._count(monkeypatch)
+        result = make_linked(G, P)
+        assert result.decomposition == P
+        assert len(calls) == P.order - 2
+
+    @pytest.mark.parametrize("kind", ["fan", "path"])
+    def test_island_or_minor(self, monkeypatch, kind):
+        if kind == "fan":
+            G, P = gen_fan(1, 40), fan_decomposition(40, 40)
+        else:
+            G = gen_path(40)
+            P = PathDecomposition(tuple(vset([i, i + 1]) for i in range(39)))
+        li = make_large_interiors(G, P).decomposition
+        calls = self._count(monkeypatch)
+        result = island_or_minor(G, li, t=2, m=3, l=2)
+        assert result.kind == ("minor" if kind == "fan" else "islands")
+        assert len(calls) == li.order - 2
