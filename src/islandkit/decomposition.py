@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .graphs import Graph, Separation, vset
@@ -361,48 +362,85 @@ def _decomposition_from_order(G: Graph, order: Sequence[int]) -> TreeDecompositi
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 
+def _degeneracy(G: Graph) -> int:
+    """Largest degree met while repeatedly deleting a vertex of least
+    degree; every graph of treewidth w is w-degenerate, so this is a lower
+    bound on treewidth.  Quadratic: it serves the small-graph fallback."""
+    deg = {v: len(G.adj[v]) for v in range(G.n)}
+    worst = 0
+    while deg:
+        v = min(deg, key=deg.__getitem__)
+        worst = max(worst, deg.pop(v))
+        for u in G.adj[v]:
+            if u in deg:
+                deg[u] -= 1
+    return worst
+
+
 def treewidth_decomposition(G: Graph, k: int | None = None) -> TreeDecomposition:
-    """Tree decomposition via the min-fill heuristic; if a width bound k is
-    given and missed, fall back to exhaustive elimination orderings for
-    small graphs."""
+    """Tree decomposition via the min-fill heuristic.
+
+    Each step eliminates the alive vertex with the fewest missing edges
+    among its alive neighbours, ties to the least vertex id, and makes
+    those neighbours a clique.  The scores sit in a heap keyed by
+    (fill, vertex) with lazy invalidation: eliminating v rescores only
+    v's neighbours and the common neighbours of each fill edge, the only
+    vertices whose neighbourhood or its missing pairs changed
+    (Rose-Tarjan-Lueker's elimination game).
+
+    If a width bound k is given and missed, a graph of at most 11 vertices
+    falls back to scanning all elimination orderings, keeping the first
+    strictly narrower tree.  The scan stops at width k or at the
+    degeneracy, a lower bound on treewidth, and does not start when
+    min-fill already meets that bound.
+    """
     if G.n == 0:
         return TreeDecomposition(((),), ())
-    # min-fill greedy
-    nbrs = [set(G.adj[v]) for v in range(G.n)]
-    alive = set(range(G.n))
+    nbrs = [set(G.adj[v]) for v in range(G.n)]  # alive neighbours only
+
+    def fill(v: int) -> int:
+        # around - nbrs[a] holds a and every non-neighbour of a in around,
+        # so the sum counts each missing pair twice and each a once
+        around = nbrs[v]
+        return (sum(len(around - nbrs[a]) for a in around) - len(around)) // 2
+
+    score = [fill(v) for v in range(G.n)]
+    heap = [(s, v) for v, s in enumerate(score)]
+    heapify(heap)
     order: list[int] = []
-    while alive:
-        def fill(v: int) -> tuple[int, int]:
-            around = [u for u in nbrs[v] if u in alive]
-            missing = sum(
-                1
-                for a, b in combinations(around, 2)
-                if b not in nbrs[a]
-            )
-            return (missing, v)
-
-        v = min(alive, key=fill)
-        around = [u for u in nbrs[v] if u in alive]
-        for a, b in combinations(around, 2):
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        alive.remove(v)
+    while heap:
+        s, v = heappop(heap)
+        if s != score[v]:
+            continue
+        score[v] = -1  # eliminated: every entry of v left in the heap is stale
         order.append(v)
+        around = nbrs[v]
+        for u in around:
+            nbrs[u].discard(v)
+        touched = set(around)
+        for a, b in combinations(around, 2):
+            if b not in nbrs[a]:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+                touched |= nbrs[a] & nbrs[b]
+        for u in touched:
+            s = fill(u)
+            if s != score[u]:
+                score[u] = s
+                heappush(heap, (s, u))
     td = _decomposition_from_order(G, order)
-    if k is None or td.width <= k:
+    if k is None or td.width <= k or G.n > 11:
         return td
-    if G.n <= 11:
-        from itertools import permutations
-
-        best = td
+    stop = max(k, _degeneracy(G))
+    best = td
+    if best.width > stop:
         for perm in permutations(range(G.n)):
             cand = _decomposition_from_order(G, perm)
             if cand.width < best.width:
                 best = cand
-                if best.width <= k:
-                    return best
-        return best
-    return td
+                if best.width <= stop:
+                    break
+    return best
 
 
 def restore_properness(P: PathDecomposition) -> tuple[PathDecomposition, list[tuple[int, int]]]:

@@ -158,14 +158,18 @@ class DualityVerdict:
 def duality_check(G: Graph, A0, t: int, cap: int = 20) -> DualityVerdict:
     """Confirm: A0 t-percolates  iff  no t-island lies in V \\ A0.
 
-    The island side is an exhaustive scan over all non-empty subsets of
-    the complement, independent of the percolation process.
+    Three answers must agree: the percolation process, the linear `peel`
+    of the complement (A0 percolates iff nothing survives it), and an
+    exhaustive scan over all non-empty subsets of the complement, which
+    is independent of both.
     """
     if G.n > cap:
         raise GraphTooLarge(f"n={G.n} exceeds brute-force cap {cap}")
     seeds = vset(A0)
     perc = t_percolates(G, seeds, t)
-    complement = [v for v in range(G.n) if v not in set(seeds)]
+    seedset = set(seeds)
+    complement = [v for v in range(G.n) if v not in seedset]
+    peeled = not peel(G, complement, t)[1]
     masks = G.neighbor_masks
     full = (1 << G.n) - 1
     island: tuple[int, ...] | None = None
@@ -181,4 +185,6 @@ def duality_check(G: Graph, A0, t: int, cap: int = 20) -> DualityVerdict:
         if all((masks[v] & out).bit_count() < t for v in vs):
             island = tuple(vs)
             break
-    return DualityVerdict(ok=perc == (island is None), percolates=perc, island_in_complement=island)
+    return DualityVerdict(
+        ok=perc == peeled == (island is None), percolates=perc, island_in_complement=island
+    )

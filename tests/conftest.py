@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -42,6 +44,29 @@ def graphs(draw, max_n: int = 8, min_n: int = 1):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, keep in zip(pairs, mask) if keep])
+
+
+def line_events(modules, fn, *args) -> int:
+    """Line events executed in the source files of `modules` during fn."""
+    files = {os.path.abspath(m.__file__) for m in modules}
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def on_call(frame, event, arg):
+        return local if os.path.abspath(frame.f_code.co_filename) in files else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 @pytest.fixture

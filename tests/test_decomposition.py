@@ -1,16 +1,19 @@
 import itertools
+import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from islandkit import decomposition
 from islandkit.decomposition import (
     DecompositionParseError,
     DecompositionVerdict,
     Linkage,
     PathDecomposition,
     TreeDecomposition,
+    _decomposition_from_order,
     _tree_violation,
     find_linkage,
     parse_decomposition,
@@ -30,7 +33,7 @@ from islandkit.graphs import (
     vset,
 )
 
-from conftest import graphs, random_graph
+from conftest import graphs, line_events, random_bounded_degree_graph, random_graph
 
 
 def menger_bruteforce(G: Graph, A, B) -> int:
@@ -249,6 +252,112 @@ class TestTreewidth:
     def test_always_valid(self, G):
         T = treewidth_decomposition(G)
         assert validate_decomposition(G, T).ok
+
+
+def reference_min_fill(G: Graph) -> TreeDecomposition:
+    """The min-fill loop that rescored every alive vertex at every step."""
+    if G.n == 0:
+        return TreeDecomposition(((),), ())
+    nbrs = [set(G.adj[v]) for v in range(G.n)]
+    alive = set(range(G.n))
+    order = []
+    while alive:
+        def fill(v):
+            around = [u for u in nbrs[v] if u in alive]
+            return (sum(1 for a, b in itertools.combinations(around, 2) if b not in nbrs[a]), v)
+
+        v = min(alive, key=fill)
+        around = [u for u in nbrs[v] if u in alive]
+        for a, b in itertools.combinations(around, 2):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        alive.remove(v)
+        order.append(v)
+    return _decomposition_from_order(G, order)
+
+
+def reference_treewidth(G: Graph, k) -> TreeDecomposition:
+    """Min-fill, then the full scan of every ordering with no lower bound."""
+    td = reference_min_fill(G)
+    if k is None or td.width <= k or G.n > 11:
+        return td
+    best = td
+    for perm in itertools.permutations(range(G.n)):
+        cand = _decomposition_from_order(G, perm)
+        if cand.width < best.width:
+            best = cand
+            if best.width <= k:
+                return best
+    return best
+
+
+MIN_FILL_INPUTS = st.one_of(
+    graphs(max_n=12, min_n=0),
+    st.integers(1, 60).map(gen_path),
+    st.integers(3, 60).map(gen_cycle),
+    st.integers(1, 40).map(lambda m: gen_complete_bipartite(1, m)),
+    st.builds(gen_triangulated_grid, st.integers(2, 6), st.integers(2, 20)),
+    st.builds(
+        lambda seed, n, d: random_bounded_degree_graph(random.Random(seed), n, d),
+        st.integers(0, 2**16), st.integers(2, 120), st.integers(3, 6),
+    ),
+)
+
+
+@pytest.fixture
+def orderings(monkeypatch):
+    """Every ordering treewidth_decomposition hands to _decomposition_from_order."""
+    calls = []
+    real = decomposition._decomposition_from_order
+
+    def counted(G, order):
+        calls.append(order)
+        return real(G, order)
+
+    monkeypatch.setattr(decomposition, "_decomposition_from_order", counted)
+    return calls
+
+
+class TestMinFillHeap:
+    @given(MIN_FILL_INPUTS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_rescan(self, G):
+        assert treewidth_decomposition(G) == reference_min_fill(G)
+
+    # min-fill gives width 5 on this 3-degenerate graph of treewidth 4
+    @example(Graph(7, [(0, 1), (0, 3), (0, 6), (1, 2), (1, 4), (1, 5), (2, 3), (2, 4),
+                       (2, 5), (2, 6), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)]))
+    @given(graphs(max_n=6, min_n=0))
+    @settings(max_examples=40, deadline=None)
+    def test_fallback_matches_full_scan(self, G):
+        for k in range(G.n + 1):
+            assert treewidth_decomposition(G, k) == reference_treewidth(G, k)
+
+    def test_fallback_stops_at_the_degeneracy(self, orderings):
+        # C11 is 2-degenerate and min-fill gives width 2: no ordering is
+        # narrower, so the 11! scan for k=1 never starts
+        G = gen_cycle(11)
+        expected = treewidth_decomposition(G)
+        orderings.clear()
+        assert treewidth_decomposition(G, 1) == expected
+        assert len(orderings) <= 1
+
+    def test_fallback_scan_stops_when_it_reaches_the_degeneracy(self, orderings):
+        # 2-degenerate, treewidth 2, min-fill width 3: for k=1 the full scan
+        # would keep its first width-2 tree, which the k=2 scan returns
+        G = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 6), (1, 7), (2, 7),
+                      (3, 6), (4, 5), (5, 7)])
+        assert treewidth_decomposition(G).width == 3
+        orderings.clear()
+        T = treewidth_decomposition(G, 1)
+        assert T == reference_treewidth(G, 2) and T.width == 2
+        assert len(orderings) < 40320
+
+    def test_is_linear_on_a_long_path(self):
+        # rescoring every alive vertex at every step runs ~n^2 lines
+        G = gen_path(400)
+        events = line_events((decomposition,), treewidth_decomposition, G)
+        assert 0 < events <= 40 * (G.n + G.m)
 
 
 class TestLinkage:

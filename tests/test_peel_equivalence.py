@@ -4,9 +4,6 @@ shrink and the full-scan percolation closure, plus the duality identity
 V \\ closure(A) = maximal t-island in V \\ A checked by exhaustion, and
 the per-colour-class monochromatic components against the old BFS."""
 
-import os
-import sys
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +13,7 @@ from islandkit.graphs import Graph, gen_path, vset
 from islandkit.islands import is_enclave, is_island, peel, shrink_enclave_to_island
 from islandkit.percolation import PercolationRun, percolate
 
-from conftest import graphs
+from conftest import graphs, line_events
 
 
 # ---------------------------------------------------------------------------
@@ -168,29 +165,6 @@ class TestPeelEquivalence:
 # cost: line events in the peel's modules, not wall-clock time
 # ---------------------------------------------------------------------------
 
-def line_events(fn, *args) -> int:
-    """Line events executed in islands.py and percolation.py during fn."""
-    files = {os.path.abspath(islands.__file__), os.path.abspath(percolation.__file__)}
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "line":
-            count += 1
-        return local
-
-    def on_call(frame, event, arg):
-        return local if os.path.abspath(frame.f_code.co_filename) in files else None
-
-    previous = sys.gettrace()
-    sys.settrace(on_call)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(previous)
-    return count
-
-
 class TestPeelCost:
     # a path seeded at one end activates one vertex per round, 399 rounds;
     # a closure that rescans every vertex each round runs ~n^2 lines
@@ -198,10 +172,10 @@ class TestPeelCost:
     BOUND = 40 * (G.n + G.m)
 
     def test_percolate_is_linear_on_a_long_chain(self):
-        events = line_events(percolate, self.G, [0], 1)
+        events = line_events((islands, percolation), percolate, self.G, [0], 1)
         assert 0 < events <= self.BOUND
 
     def test_peel_is_linear_on_a_long_chain(self):
         assert len(peel(self.G, range(1, 400), 1)[0]) == 399
-        events = line_events(peel, self.G, range(1, 400), 1)
+        events = line_events((islands, percolation), peel, self.G, range(1, 400), 1)
         assert 0 < events <= self.BOUND

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from islandkit import percolation
 from islandkit.graphs import GraphValidityError, gen_complete_bipartite, gen_cycle, gen_path
 from islandkit.islands import is_island
 from islandkit.percolation import (
@@ -135,3 +136,14 @@ class TestDuality:
         )
         verdict = duality_check(G, tuple(seeds), t)
         assert verdict.ok
+
+    def test_a_disagreeing_peel_fails_the_check(self, monkeypatch):
+        # the process and the exhaustive scan agree; only the peel lies
+        G, seeds, t = gen_path(4), (0,), 1
+        truth = t_percolates(G, seeds, t)
+        assert truth and duality_check(G, seeds, t).ok
+        monkeypatch.setattr(percolation, "t_percolates", lambda G, A0, t: truth)
+        monkeypatch.setattr(percolation, "peel", lambda G, W, t: ((), (max(W),)))
+        verdict = duality_check(G, seeds, t)
+        assert verdict.percolates and verdict.island_in_complement is None
+        assert not verdict.ok
