@@ -42,6 +42,35 @@ def _load_graph(path: str) -> Graph:
     return G
 
 
+def _load_lists(path: str, n: int) -> coloring.ListAssignment:
+    """One colour list per line, line i+1 for vertex i; the smallest list
+    size is the assignment's min_size."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if len(lines) != n:
+        raise ValueError(
+            f"{path}: line {min(len(lines), n) + 1}: expected {n} lists, one per vertex, "
+            f"got {len(lines)}"
+        )
+    lists = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            lst = tuple(int(x) for x in line.split())
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: expected integer colours, got {line!r}")
+        if any(c < 0 for c in lst):
+            raise ValueError(f"{path}: line {lineno}: negative colour")
+        if len(set(lst)) != len(lst):
+            raise ValueError(f"{path}: line {lineno}: duplicate colour")
+        lists.append(lst)
+    return coloring.ListAssignment(tuple(lists), min(map(len, lists), default=0))
+
+
+def _write_json(report: dict) -> None:
+    """The whole report on one line, keys sorted, in a single write."""
+    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+
+
 class HonestNegative(Exception):
     """A documented negative outcome: exit code 2, not an error."""
 
@@ -59,8 +88,7 @@ def _emit(args, command: str, parameters: dict, payload: dict, started: float) -
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
     if args.json:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        _write_json(report)
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -152,12 +180,8 @@ def cmd_color(args, started: float) -> int:
     }
     finder = _default_finder(args.bruteforce_cap, args.alpha)
     if args.lists:
-        with open(args.lists) as fh:
-            lists = tuple(
-                tuple(int(x) for x in line.split()) for line in fh if line.strip()
-            )
         col, trace = coloring.greedy_clustered_list_coloring(
-            G, coloring.ListAssignment(lists), args.t, finder
+            G, _load_lists(args.lists, G.n), args.t, finder
         )
     else:
         col, trace = coloring.greedy_clustered_coloring(G, args.t, finder)
@@ -387,8 +411,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, started)
     except HonestNegative as neg:
         if args.json:
-            json.dump({"negative": neg.payload}, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+            _write_json({"negative": neg.payload})
         else:
             print(f"negative: {neg.payload}", file=sys.stderr)
         return 2

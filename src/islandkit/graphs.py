@@ -63,6 +63,18 @@ class Graph:
         self.m = m
         self._masks: tuple[int, ...] | None = None
 
+    @classmethod
+    def _from_adj(cls, adj: tuple[tuple[int, ...], ...], m: int) -> "Graph":
+        """A graph on len(adj) vertices from rows that are already sorted,
+        loop-free and symmetric, with m edges; nothing is re-checked.  For
+        this module's parser and subgraph builder only."""
+        G = cls.__new__(cls)
+        G.n = len(adj)
+        G.adj = adj
+        G.m = m
+        G._masks = None
+        return G
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -144,19 +156,23 @@ def parse_graph(text: str) -> Graph:
             raise GraphParseError(f"line {lineno}: negative vertex id")
         rows.append((lineno, a, b))
 
-    if rows:
-        _, hn, hm = rows[0]
-        body = rows[1:]
-        header_ok = (
-            hn >= 1
-            and hm == len(body)
-            and all(a < hn and b < hn for _, a, b in body)
-        )
-        if header_ok:
-            return Graph(hn, [(a, b) for _, a, b in body])
+    _, hn, hm = rows[0] if rows else (0, 0, 0)
+    body = rows[1:]
+    if hn >= 1 and hm == len(body) and all(a < hn and b < hn for _, a, b in body):
+        n, rows = hn, body
+    else:
+        n = 1 + max((max(a, b) for _, a, b in rows), default=-1)
 
-    n = 1 + max((max(a, b) for _, a, b in rows), default=-1)
-    return Graph(n, [(a, b) for _, a, b in rows])
+    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+    for lineno, a, b in rows:
+        if a == b:
+            raise GraphValidityError(f"line {lineno}: loop at vertex {a}")
+        row = neighbor_sets[a]
+        if b in row:
+            raise GraphValidityError(f"line {lineno}: duplicate edge ({a},{b})")
+        row.add(b)
+        neighbor_sets[b].add(a)
+    return Graph._from_adj(tuple(tuple(sorted(s)) for s in neighbor_sets), len(rows))
 
 
 def write_graph(G: Graph, comment: str = "islandkit") -> str:
@@ -196,13 +212,16 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]
     """Relabeled subgraph on S plus the old-id -> new-id mapping."""
     members = checked_vset(G, S)
     relabel = {v: i for i, v in enumerate(members)}
-    edges = [
-        (relabel[u], relabel[v])
+    k = len(members)
+    # Relabelling keeps vertex order, so filtered sorted rows stay sorted.
+    # A row longer than |S| is probed by bisection, member by member.
+    rows = tuple(
+        tuple(relabel[v] for v in G.adj[u] if v in relabel)
+        if len(G.adj[u]) <= k
+        else tuple(i for i, v in enumerate(members) if G.has_edge(u, v))
         for u in members
-        for v in G.adj[u]
-        if u < v and v in relabel
-    ]
-    return Graph(len(members), edges), relabel
+    )
+    return Graph._from_adj(rows, sum(map(len, rows)) // 2), relabel
 
 
 def bfs_levels(G: Graph, root: int) -> list[tuple[int, ...]]:

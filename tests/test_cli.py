@@ -68,6 +68,53 @@ class TestColorPercolateShatter:
         assert first["payload"] == second["payload"]
         assert first["input_digest"] == second["input_digest"]
 
+    def test_json_is_one_line(self, grid10, capsys):
+        capsys.readouterr()
+        assert main(["--json", "percolate", grid10, "0,1", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out)["payload"]["percolates"] is True
+
+    def test_negative_json_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "K55.txt"
+        main(["gen", "complete_bipartite", "5", "5", str(path)])
+        capsys.readouterr()
+        assert main(["--json", "island", str(path), "2", "sparse", "0.25"]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert "reason" in json.loads(out)["negative"]
+
+
+class TestColorLists:
+    @pytest.fixture
+    def p4(self, tmp_path):
+        path = tmp_path / "p4.txt"
+        assert main(["gen", "path", "4", str(path)]) == 0
+        return str(path)
+
+    def test_lists_color_a_path(self, p4, tmp_path, capsys):
+        lists = tmp_path / "lists.txt"
+        lists.write_text("0 1\n" * 4)
+        capsys.readouterr()
+        assert main(["color", p4, "2", "--lists", str(lists)]) == 0
+        assert "verified: True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("0 1\n0 1\n", "line 3: expected 4 lists"),
+            ("0 1\n" * 5, "line 5: expected 4 lists"),
+            ("0 1\n1 1\n0 1\n0 1\n", "line 2: duplicate colour"),
+            ("0 1\n0 1\n0 -1\n0 1\n", "line 3: negative colour"),
+        ],
+    )
+    def test_bad_lists_name_the_line(self, p4, tmp_path, capsys, text, message):
+        lists = tmp_path / "lists.txt"
+        lists.write_text(text)
+        capsys.readouterr()
+        assert main(["color", p4, "2", "--lists", str(lists)]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestPathdecomp:
     def test_fan_chain_to_minor(self, tmp_path, capsys):

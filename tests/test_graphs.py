@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from islandkit.graphs import (
     Graph,
@@ -18,6 +19,7 @@ from islandkit.graphs import (
     gen_triangulated_grid,
     girth,
     checked_vset,
+    induced_subgraph,
     parse_graph,
     verify_minor_model,
     write_graph,
@@ -47,11 +49,69 @@ class TestParsing:
         with pytest.raises((GraphParseError, GraphValidityError)):
             parse_graph("0 1\n1 0\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("# c\n\n0 0\n", "line 3: loop at vertex 0"),
+            ("0 1  # first\n\n1 0\n", "line 3: duplicate edge"),
+            ("# c\n3 2\n0 1\n0 1\n", "line 4: duplicate edge"),
+        ],
+    )
+    def test_validity_errors_name_their_line(self, text, message):
+        with pytest.raises(GraphValidityError, match=message):
+            parse_graph(text)
+
+    def test_inconsistent_header_is_an_edge(self):
+        G = parse_graph("3 5\n0 1\n")
+        assert (G.n, G.m) == (6, 2)
+        assert G.adj[5] == (3,)
+
     @given(graphs(max_n=8))
     @settings(max_examples=60, deadline=None)
     def test_write_parse_roundtrip(self, G):
         H = parse_graph(write_graph(G))
         assert H.n == G.n and H.adj == G.adj
+        assert H.m == G.m
+        H.validate()
+
+
+def _reference_induced(G, S):
+    """The subgraph on S through the checked constructor."""
+    members = sorted(set(S))
+    relabel = {v: i for i, v in enumerate(members)}
+    edges = [(relabel[u], relabel[v]) for u, v in G.edges() if u in relabel and v in relabel]
+    return Graph(len(members), edges), relabel
+
+
+@st.composite
+def graphs_and_subsets(draw):
+    """Small random graphs, and fans whose apexes have degree above |S|."""
+    if draw(st.booleans()):
+        G = draw(graphs(max_n=10))
+    else:
+        G = gen_fan(draw(st.integers(0, 3)), draw(st.integers(1, 30)))
+    S = draw(st.lists(st.integers(0, G.n - 1), max_size=G.n))
+    return G, S
+
+
+class TestInducedSubgraph:
+    @given(graphs_and_subsets())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_checked_constructor(self, case):
+        G, S = case
+        H, relabel = induced_subgraph(G, S)
+        ref, ref_relabel = _reference_induced(G, S)
+        assert relabel == ref_relabel
+        assert (H.n, H.m, H.adj) == (ref.n, ref.m, ref.adj)
+        H.validate()
+
+    def test_high_degree_member_is_probed(self):
+        G = gen_fan(1, 30)  # apex 30 has degree 30
+        H, relabel = induced_subgraph(G, [30, 5, 6, 20])
+        assert relabel == {5: 0, 6: 1, 20: 2, 30: 3}
+        assert H.adj == ((1, 3), (0, 3), (3,), (0, 1, 2))
+        assert H.m == 4
+        H.validate()
 
 
 class TestGenerators:
