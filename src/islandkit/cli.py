@@ -8,6 +8,7 @@ Exit codes: 0 = success with a verified certificate, 2 = honest negative
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -17,6 +18,7 @@ from . import coloring, islands, percolation, separators, surgery
 from .decomposition import (
     PathDecomposition,
     parse_decomposition,
+    restore_properness,
     validate_decomposition,
 )
 from .graphs import GENERATORS, Graph, checked_vset, parse_graph, write_graph
@@ -272,8 +274,6 @@ def cmd_pathdecomp(args, started: float) -> int:
         elif step == "proper":
             if not isinstance(P, PathDecomposition):
                 raise ValueError("proper requires a path decomposition")
-            from .decomposition import restore_properness
-
             P, _ = restore_properness(P)
         elif step == "linked":
             P = surgery.make_linked(G, P).decomposition
@@ -340,6 +340,7 @@ def cmd_verify(args, started: float) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="islandkit",
@@ -404,8 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         return args.func(args, started)

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .graphs import Graph, components_within, gen_fan, induced_subgraph, vset
-from .islands import GraphTooLarge
+from .islands import GraphTooLarge, min_island_size_bruteforce
 
 
 class IslandFinderError(RuntimeError):
@@ -32,13 +32,6 @@ class ClusteredColoring:
     palette_size: int
     achieved_clustering: int
 
-    def to_json(self) -> dict:
-        return {
-            "colors": list(self.colors),
-            "palette_size": self.palette_size,
-            "achieved_clustering": self.achieved_clustering,
-        }
-
 
 @dataclass(frozen=True)
 class ListAssignment:
@@ -53,9 +46,6 @@ class ListAssignment:
     @staticmethod
     def uniform(n: int, t: int) -> "ListAssignment":
         return ListAssignment(tuple(tuple(range(t)) for _ in range(n)), t)
-
-    def to_json(self) -> dict:
-        return {"lists": [list(l) for l in self.lists], "min_size": self.min_size}
 
 
 @dataclass(frozen=True)
@@ -222,8 +212,6 @@ def chi_C_bruteforce(G: Graph, C: int, cap: int = 14) -> int:
 def greedy_palette_for_clustering(G: Graph, C: int, cap: int = 20) -> int:
     """Smallest t for which island-driven greedy (fed by the brute-force
     minimum-island finder) completes with all islands of size <= C."""
-    from .islands import min_island_size_bruteforce
-
     def finder(g: Graph, t: int) -> Sequence[int]:
         size, witness = min_island_size_bruteforce(g, t, cap=cap)
         if size > C:

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graphs import Graph, Separation, vset
+from .graphs import Graph, Separation, checked_vset, vset
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def find_linkage(G: Graph, A: Iterable[int], B: Iterable[int]) -> Linkage | Sepa
 
     A and B may intersect; shared vertices yield zero-length paths.
     """
-    A, B = vset(A), vset(B)
+    A, B = checked_vset(G, A), checked_vset(G, B)
     if len(A) != len(B):
         raise ValueError(f"|A|={len(A)} != |B|={len(B)}")
     n = G.n
@@ -362,21 +363,6 @@ def _decomposition_from_order(G: Graph, order: Sequence[int]) -> TreeDecompositi
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 
-def _degeneracy(G: Graph) -> int:
-    """Largest degree met while repeatedly deleting a vertex of least
-    degree; every graph of treewidth w is w-degenerate, so this is a lower
-    bound on treewidth.  Quadratic: it serves the small-graph fallback."""
-    deg = {v: len(G.adj[v]) for v in range(G.n)}
-    worst = 0
-    while deg:
-        v = min(deg, key=deg.__getitem__)
-        worst = max(worst, deg.pop(v))
-        for u in G.adj[v]:
-            if u in deg:
-                deg[u] -= 1
-    return worst
-
-
 def treewidth_decomposition(G: Graph, k: int | None = None) -> TreeDecomposition:
     """Tree decomposition via the min-fill heuristic.
 
@@ -388,11 +374,11 @@ def treewidth_decomposition(G: Graph, k: int | None = None) -> TreeDecomposition
     vertices whose neighbourhood or its missing pairs changed
     (Rose-Tarjan-Lueker's elimination game).
 
-    If a width bound k is given and missed, a graph of at most 11 vertices
-    falls back to scanning all elimination orderings, keeping the first
-    strictly narrower tree.  The scan stops at width k or at the
-    degeneracy, a lower bound on treewidth, and does not start when
-    min-fill already meets that bound.
+    If a width bound k is given and missed on a graph of at most 11
+    vertices, let w be the least width >= k that some elimination order
+    reaches.  Unless min-fill already reaches w, the result is the tree of
+    the lexicographically first order of width <= w, found by dynamic
+    programming over eliminated vertex sets (Bodlaender et al., 2012).
     """
     if G.n == 0:
         return TreeDecomposition(((),), ())
@@ -431,36 +417,45 @@ def treewidth_decomposition(G: Graph, k: int | None = None) -> TreeDecomposition
     td = _decomposition_from_order(G, order)
     if k is None or td.width <= k or G.n > 11:
         return td
-    stop = max(k, _degeneracy(G))
-    best = td
-    if best.width > stop:
-        for perm in permutations(range(G.n)):
-            cand = _decomposition_from_order(G, perm)
-            if cand.width < best.width:
-                best = cand
-                if best.width <= stop:
-                    break
-    return best
+    n, full, masks = G.n, (1 << G.n) - 1, G.neighbor_masks
+
+    def fits(S: int, v: int, w: int) -> bool:
+        # eliminating v after the set S leaves Q(S, v), the vertices outside
+        # S | {v} that v reaches through S, as its later neighbours; it fits
+        # if |Q(S, v)| <= w and an order of width <= w can eliminate the rest
+        seen, todo = 1 << v, [v]
+        while todo:
+            new = masks[todo.pop()] & ~seen
+            seen |= new
+            todo.extend(u for u in range(n) if (new & S) >> u & 1)
+        return (seen & ~S).bit_count() - 1 <= w and done(S | 1 << v, w)
+
+    @cache
+    def done(S: int, w: int) -> bool:
+        return S == full or any(fits(S, v, w) for v in range(n) if not S >> v & 1)
+
+    w = next((w for w in range(k, td.width) if done(0, w)), None)
+    if w is None:
+        return td
+    S, best = 0, []
+    while S != full:
+        best.append(next(v for v in range(n) if not S >> v & 1 and fits(S, v, w)))
+        S |= 1 << best[-1]
+    return _decomposition_from_order(G, best)
 
 
 def restore_properness(P: PathDecomposition) -> tuple[PathDecomposition, list[tuple[int, int]]]:
-    """Drop bags contained in a neighbor bag, returning the interval
-    partition of input bags that witnesses the coarsening."""
-    bags = [set(b) for b in P.bags]
-    intervals = [[i, i] for i in range(len(bags))]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(bags) - 1):
-            a, b = bags[i], bags[i + 1]
-            if a <= b or b <= a:
-                bags[i] = a | b
-                intervals[i] = [intervals[i][0], intervals[i + 1][1]]
-                del bags[i + 1]
-                del intervals[i + 1]
-                changed = True
-                break
+    """Merge comparable neighbour bags, leftmost pair first, in one pass:
+    each bag absorbs the top of a stack of merged bags while either contains
+    the other.  Also returns the interval partition of input bags merged."""
+    stack: list[tuple[set[int], int, int]] = []  # (merged bag, first and last input bag)
+    for i, bag in enumerate(P.bags):
+        cur, first = set(bag), i
+        while stack and (stack[-1][0] <= cur or cur <= stack[-1][0]):
+            top, first, _ = stack.pop()
+            cur |= top
+        stack.append((cur, first, i))
     return (
-        PathDecomposition(tuple(vset(b) for b in bags)),
-        [tuple(iv) for iv in intervals],
+        PathDecomposition(tuple(vset(b) for b, _, _ in stack)),
+        [(first, last) for _, first, last in stack],
     )

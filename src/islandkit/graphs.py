@@ -302,9 +302,6 @@ class MinorModel:
 
     branch_sets: Mapping[int, tuple[int, ...]]
 
-    def to_json(self) -> dict:
-        return {str(h): list(s) for h, s in sorted(self.branch_sets.items())}
-
 
 @dataclass(frozen=True)
 class MinorVerdict:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .graphs import Graph, checked_vset
+from .graphs import Graph, checked_vset, components_within
 
 
 class NotAnEnclave(ValueError):
@@ -47,13 +47,6 @@ class IslandCertificate:
     t: int
     outside_degrees: tuple[int, ...]  # aligned with members
 
-    def to_json(self) -> dict:
-        return {
-            "set": list(self.members),
-            "t": self.t,
-            "outside_degrees": list(self.outside_degrees),
-        }
-
 
 @dataclass(frozen=True)
 class IslandVerdict:
@@ -68,13 +61,6 @@ class EnclaveCertificate:
     members: tuple[int, ...]
     t: int
     incident_edges: int
-
-    def to_json(self) -> dict:
-        return {
-            "set": list(self.members),
-            "t": self.t,
-            "incident_edges": self.incident_edges,
-        }
 
 
 @dataclass
@@ -196,6 +182,8 @@ def min_island_size_bruteforce(
 ) -> tuple[int, tuple[int, ...]]:
     """Exhaustive minimum t-island size with its lexicographically least
     witness among the minimum-size islands."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
     if G.n > cap:
         raise GraphTooLarge(f"n={G.n} exceeds brute-force cap {cap}")
     if G.n == 0:
@@ -235,21 +223,10 @@ class DisjointIslandsReport:
     required: int  # ceil(delta * n)
     X: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "islands": [c.to_json() for c in self.islands],
-            "C": self.C,
-            "delta": str(self.delta),
-            "required": self.required,
-            "cut": list(self.X),
-        }
-
 
 def _enclave_components(
     G: Graph, params: SparseIslandParams, shatterer: Shatterer
 ) -> tuple[list[tuple[int, ...]], "object"]:
-    from .graphs import components_within
-
     if not density_below(G, params.t, params.alpha):
         raise DensityPreconditionError(
             f"|E|={G.m} is not below (t - alpha)|V| for t={params.t}, alpha={params.alpha}"

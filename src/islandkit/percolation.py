@@ -32,18 +32,6 @@ class PercolationRun:
     final_active: tuple[int, ...]
     activation_order: tuple[tuple[int, int], ...]  # (vertex, step)
 
-    @property
-    def percolates_n(self) -> int:
-        return len(self.final_active)
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "initially_active": list(self.initially_active),
-            "final_active": list(self.final_active),
-            "activation_order": [list(p) for p in self.activation_order],
-        }
-
 
 def percolate(G: Graph, A0, t: int) -> PercolationRun:
     """Run the activation process to its closure.
@@ -79,19 +67,6 @@ class ResistanceReport:
     witness: tuple[int, ...] | None = None
     island_family: tuple[IslandCertificate, ...] | None = None
     budget: int | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "t": self.t,
-            "epsilon": str(self.epsilon),
-            "verdict": self.verdict,
-            "budget": self.budget,
-        }
-        if self.witness is not None:
-            out["witness"] = list(self.witness)
-        if self.island_family is not None:
-            out["island_family"] = [c.to_json() for c in self.island_family]
-        return out
 
 
 def resistance_exhaustive(

@@ -269,15 +269,6 @@ class TraceNode:
     separator_size: int  # 0 for leaves
     rank: int
 
-    def to_json(self) -> dict:
-        return {
-            "node": self.node,
-            "parent": self.parent,
-            "size": self.size,
-            "separator_size": self.separator_size,
-            "rank": self.rank,
-        }
-
 
 @dataclass(frozen=True)
 class ShatterReport:
@@ -285,14 +276,6 @@ class ShatterReport:
     C: int
     epsilon_used: Fraction
     tree_trace: tuple[TraceNode, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "X": list(self.X),
-            "C": self.C,
-            "epsilon_used": str(self.epsilon_used),
-            "tree_trace": [t.to_json() for t in self.tree_trace],
-        }
 
 
 SeparatorOracle = Callable[[Graph], Separation]

@@ -37,6 +37,10 @@ class TestIsland:
         assert main(["island", k23, "2", "brute"]) == 0
         assert "min_island_size: 3" in capsys.readouterr().out
 
+    def test_brute_t_zero_is_a_named_error(self, k23, capsys):
+        assert main(["island", k23, "0", "brute"]) == 1
+        assert "error: t must be >= 1" in capsys.readouterr().err
+
     def test_t_above_degree(self, k23, capsys):
         assert main(["island", k23, "9", "brute"]) == 0
         assert "min_island_size: 1" in capsys.readouterr().out

@@ -24,6 +24,7 @@ from islandkit.decomposition import (
 )
 from islandkit.graphs import (
     Graph,
+    GraphValidityError,
     Separation,
     gen_complete_bipartite,
     gen_cycle,
@@ -107,6 +108,53 @@ class TestPathDecomposition:
         Q, witness = restore_properness(P)
         assert Q.proper
         assert validate_decomposition(gen_path(4), Q).ok
+
+
+def reference_restore_properness(P: PathDecomposition):
+    """restore_properness as a restart loop: merge the leftmost pair of
+    neighbour bags where either contains the other, then rescan from bag 0."""
+    bags = [set(b) for b in P.bags]
+    intervals = [[i, i] for i in range(len(bags))]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(bags) - 1):
+            a, b = bags[i], bags[i + 1]
+            if a <= b or b <= a:
+                bags[i] = a | b
+                intervals[i] = [intervals[i][0], intervals[i + 1][1]]
+                del bags[i + 1]
+                del intervals[i + 1]
+                changed = True
+                break
+    return (
+        PathDecomposition(tuple(vset(b) for b in bags)),
+        [tuple(iv) for iv in intervals],
+    )
+
+
+class TestRestoreProperness:
+    # bags over four vertices: empty bags, equal neighbours and nested runs are common
+    @example(PathDecomposition(()))
+    @example(PathDecomposition(((0, 1),)))
+    @example(PathDecomposition(((), (), ())))
+    @example(PathDecomposition(((0, 1), (0, 1), (1, 2), (1, 2))))
+    @example(PathDecomposition(((1,), (0, 1, 2), (1,), (2, 3), (0, 1, 2, 3))))
+    @given(st.lists(st.frozensets(st.integers(0, 3)), max_size=12).map(
+        lambda bags: PathDecomposition(tuple(vset(b) for b in bags))))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_restart_loop(self, P):
+        Q, intervals = restore_properness(P)
+        assert (Q, intervals) == reference_restore_properness(P)
+        assert Q.proper
+
+    def test_long_chain_is_one_pass(self):
+        # every bag contains the one before it: the restart loop rescans
+        # from bag 0 after each of the n - 1 merges
+        P = PathDecomposition(tuple(tuple(range(i + 1)) for i in range(3001)))
+        events = line_events((decomposition,), restore_properness, P)
+        assert restore_properness(P) == (PathDecomposition((tuple(range(3001)),)), [(0, 3000)])
+        assert 0 < events <= 20 * P.order
 
 
 def reference_validate(G: Graph, D) -> DecompositionVerdict:
@@ -353,6 +401,22 @@ class TestMinFillHeap:
         assert T == reference_treewidth(G, 2) and T.width == 2
         assert len(orderings) < 40320
 
+    def test_exact_fallback_on_eleven_vertices(self, orderings):
+        # 3-degenerate, treewidth 4, min-fill width 5, vertex 1 isolated; the
+        # lexicographically first width-4 order is about 4 million orders
+        # into the 11! permutations
+        G = Graph(11, [(0, 4), (0, 6), (0, 10), (2, 6), (2, 7), (2, 9), (3, 4), (3, 6),
+                       (3, 7), (3, 8), (3, 9), (4, 7), (4, 9), (5, 8), (5, 9), (5, 10),
+                       (6, 7), (6, 9), (7, 10)])
+        assert treewidth_decomposition(G).width == 5
+        expected = _decomposition_from_order(G, (1, 2, 4, 5, 6, 0, 3, 7, 8, 9, 10))
+        for k in range(5):
+            orderings.clear()
+            T = treewidth_decomposition(G, k)
+            assert T == expected and T.width == 4
+            assert validate_decomposition(G, T).ok
+            assert len(orderings) <= 2
+
     def test_is_linear_on_a_long_path(self):
         # rescoring every alive vertex at every step runs ~n^2 lines
         G = gen_path(400)
@@ -385,6 +449,11 @@ class TestLinkage:
         res = find_linkage(gen_path(3), (0, 1), (1, 2))
         assert isinstance(res, Separation)
         assert res.order == 1
+
+    @pytest.mark.parametrize("A, B, bad", [((-1,), (2,), -1), ((0,), (3,), 3)])
+    def test_out_of_range_ends_are_named(self, A, B, bad):
+        with pytest.raises(GraphValidityError, match=f"vertex {bad} out of range"):
+            find_linkage(gen_path(3), A, B)
 
     def test_matches_menger_bruteforce(self, rng):
         for _ in range(25):

@@ -125,6 +125,10 @@ class TestBruteForce:
         with pytest.raises(GraphTooLarge):
             min_island_size_bruteforce(gen_path(30), 2, cap=20)
 
+    def test_t_below_one_rejected(self):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            min_island_size_bruteforce(gen_path(3), 0)
+
 
 class TestSparsePipeline:
     def test_density_precondition(self):
