@@ -142,6 +142,8 @@ def greedy_clustered_list_coloring(
 ) -> tuple[ClusteredColoring, IslandEliminationTrace]:
     """Island-driven greedy list coloring with clustering bounded by the
     largest island the finder returns."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
     if len(L.lists) != G.n:
         raise ValueError("list assignment size mismatch")
     if L.min_size < t:

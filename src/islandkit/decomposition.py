@@ -234,91 +234,92 @@ def find_linkage(G: Graph, A: Iterable[int], B: Iterable[int]) -> Linkage | Sepa
     with A on one side and B on the other (Menger's dichotomy).
 
     A and B may intersect; shared vertices yield zero-length paths.
+    BFS augmenting paths on the split graph, O(|A|·(n+m)).
     """
     A, B = checked_vset(G, A), checked_vset(G, B)
     if len(A) != len(B):
         raise ValueError(f"|A|={len(A)} != |B|={len(B)}")
     n = G.n
     # node 2v = v_in, 2v+1 = v_out, source = 2n, sink = 2n+1;
-    # only the in->out arcs have capacity 1, so the min cut is a vertex cut
+    # only the in->out arcs have capacity 1, so the min cut is a vertex cut.
+    # Arc e runs to head[e] with residual capacity cap[e]; arc e ^ 1 is its
+    # reverse, and arc 2v is v_in -> v_out.  out[x] lists the arcs leaving
+    # x in the order they are added, which fixes the BFS order.
     source, sink = 2 * n, 2 * n + 1
     big = n + 1
-    cap: dict[tuple[int, int], int] = {}
-    orig: dict[tuple[int, int], int] = {}
-    succ: dict[int, list[int]] = {}
-
-    def link(u: int, w: int, c: int) -> None:
-        cap[(u, w)] = cap.get((u, w), 0) + c
-        cap.setdefault((w, u), 0)
-        orig[(u, w)] = orig.get((u, w), 0) + c
-        succ.setdefault(u, []).append(w)
-        succ.setdefault(w, []).append(u)
-
-    for v in range(n):
-        link(2 * v, 2 * v + 1, 1)
-    for u, v in G.edges():
-        link(2 * u + 1, 2 * v, big)
-        link(2 * v + 1, 2 * u, big)
+    head = [e ^ 1 for e in range(2 * n)]
+    cap = [1, 0] * n
+    out = [[e] for e in range(2 * n)] + [[], []]
+    for u, row in enumerate(G.adj):
+        u_in = 2 * u
+        for v in row:
+            if u < v:
+                # u_out -> v_in, then v_out -> u_in, each with its reverse
+                e = len(head)
+                head += (2 * v, u_in + 1, u_in, 2 * v + 1)
+                cap += (big, 0, big, 0)
+                out[u_in + 1].append(e)
+                out[2 * v].append(e + 1)
+                out[2 * v + 1].append(e + 2)
+                out[u_in].append(e + 3)
     for a in A:
-        link(source, 2 * a, big)
+        out[source].append(len(head))
+        out[2 * a].append(len(head) + 1)
+        head += (2 * a, source)
+        cap += (big, 0)
     for b in B:
-        link(2 * b + 1, sink, big)
+        out[2 * b + 1].append(len(head))
+        out[sink].append(len(head) + 1)
+        head += (sink, 2 * b + 1)
+        cap += (big, 0)
+    orig = cap[:]  # the flow on arc e is orig[e] - cap[e]
 
     flow = 0
-    while True:
-        # BFS for an augmenting path
-        prev = {source: source}
-        queue = deque([source])
-        while queue and sink not in prev:
-            x = queue.popleft()
-            for y in succ.get(x, ()):
-                if y not in prev and cap.get((x, y), 0) > 0:
-                    prev[y] = x
-                    queue.append(y)
-        if sink not in prev:
+    while flow < len(A):
+        # BFS for an augmenting path; prev[y] is the arc that reached y
+        prev = [-1] * (2 * n + 2)
+        prev[source] = -2
+        queue = [source]
+        for x in queue:
+            for e in out[x]:
+                if cap[e]:
+                    y = head[e]
+                    if prev[y] == -1:
+                        prev[y] = e
+                        queue.append(y)
+            if prev[sink] != -1:
+                break
+        else:  # no augmenting path
             break
         x = sink
         while x != source:
-            p = prev[x]
-            cap[(p, x)] -= 1
-            cap[(x, p)] += 1
-            x = p
+            e = prev[x]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            x = head[e ^ 1]
         flow += 1
 
     if flow == len(A):
         # an arc carries flow iff its residual capacity dropped below the
-        # original; unit vertex capacity makes the walk deterministic
-        def flow_on(u: int, w: int) -> int:
-            return orig.get((u, w), 0) - cap.get((u, w), 0)
-
+        # original; unit vertex capacity leaves each used v_out exactly one
+        # such arc, so the walk is deterministic
         paths = []
-        for a in A:
-            assert flow_on(source, 2 * a) > 0
+        for a, e in zip(A, out[source]):
+            assert orig[e] - cap[e] > 0
             path = [a]
-            v = a
+            x = 2 * a + 1
             while True:
-                v_out = 2 * v + 1
-                if flow_on(v_out, sink) > 0:
+                y = head[next(f for f in out[x] if orig[f] > cap[f])]
+                if y == sink:
                     break
-                nxt = next(
-                    y for y in succ.get(v_out, ()) if flow_on(v_out, y) > 0
-                )
-                v = nxt // 2
-                path.append(v)
+                path.append(y >> 1)
+                x = y + 1
             paths.append(tuple(path))
         return Linkage(tuple(paths))
 
-    # min cut: residual-reachable set from source
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in succ.get(x, ()):
-            if y not in reach and cap.get((x, y), 0) > 0:
-                reach.add(y)
-                queue.append(y)
-    cut = {v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach}
-    left = {v for v in range(n) if 2 * v in reach or 2 * v + 1 in reach} | cut
+    # min cut: the last, failed BFS marked the residual-reachable set
+    cut = {v for v in range(n) if prev[2 * v] != -1 and prev[2 * v + 1] == -1}
+    left = {v for v in range(n) if prev[2 * v] != -1 or prev[2 * v + 1] != -1}
     right = (set(range(n)) - left) | cut
     sep = Separation(vset(left), vset(right))
     sep.validate(G)

@@ -139,6 +139,8 @@ def parse_graph(text: str) -> Graph:
     "n m" is recognized when the first data line, read as a header, is
     consistent with the rest of the file (n >= 1, exactly m following
     edge lines, all endpoints below n); otherwise every line is an edge.
+    A document without data lines is the empty graph; a lone "0 0" is a
+    loop, not a header.
     """
     rows: list[tuple[int, int, int]] = []  # (lineno, a, b)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -176,8 +178,11 @@ def parse_graph(text: str) -> Graph:
 
 
 def write_graph(G: Graph, comment: str = "islandkit") -> str:
-    """Emit the edge-list format accepted by parse_graph."""
-    lines = [f"# generated-by {comment}", f"{G.n} {G.m}"]
+    """Emit the edge-list format accepted by parse_graph.  The empty graph
+    gets no header: parse_graph would read "0 0" as a loop."""
+    lines = [f"# generated-by {comment}"]
+    if G.n:
+        lines.append(f"{G.n} {G.m}")
     lines.extend(f"{u} {v}" for u, v in G.edges())
     return "\n".join(lines) + "\n"
 

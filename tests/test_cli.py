@@ -60,6 +60,13 @@ class TestColorPercolateShatter:
         assert main(["color", grid10, "4"]) == 0
         assert "verified: True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_color_t_below_one_is_a_named_error(self, k23, capsys, t):
+        assert main(["color", k23, t]) == 1
+        err = capsys.readouterr().err
+        assert "error: t must be >= 1" in err
+        assert "residual" not in err
+
     def test_percolate(self, k23, capsys):
         assert main(["percolate", k23, "0,1", "2"]) == 0
         assert "percolates: True" in capsys.readouterr().out

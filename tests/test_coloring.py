@@ -77,6 +77,19 @@ class TestGreedy:
         col, trace = greedy_clustered_coloring(G, 2, brute_finder)
         assert verify_coloring(G, col, trace.max_island_size).ok
 
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_t_below_one_rejected_before_the_finder(self, t):
+        def finder(g, t):
+            raise AssertionError("finder called")
+
+        G = gen_complete_bipartite(2, 3)
+        with pytest.raises(ValueError, match=r"^t must be >= 1$"):
+            greedy_clustered_coloring(G, t, finder)
+        with pytest.raises(ValueError, match=r"^t must be >= 1$"):
+            greedy_clustered_list_coloring(
+                G, ListAssignment(((0, 1),) * G.n, 2), t, finder
+            )
+
     def test_negative_finder_id_rejected(self):
         # -1 would otherwise index the last vertex of the residual
         with pytest.raises(IslandFinderError, match="invalid set"):

@@ -26,11 +26,13 @@ from islandkit.graphs import (
     Graph,
     GraphValidityError,
     Separation,
+    checked_vset,
     gen_complete_bipartite,
     gen_cycle,
     gen_fan,
     gen_path,
     gen_triangulated_grid,
+    induced_subgraph,
     vset,
 )
 
@@ -424,6 +426,144 @@ class TestMinFillHeap:
         assert 0 < events <= 40 * (G.n + G.m)
 
 
+def reference_find_linkage(G: Graph, A, B) -> Linkage | Separation:
+    """The dict-keyed augmenting-path kernel, kept as the reference.
+
+    Either |A| vertex-disjoint A-B paths or a separation of order < |A|
+    with A on one side and B on the other (Menger's dichotomy).
+
+    A and B may intersect; shared vertices yield zero-length paths.
+    """
+    A, B = checked_vset(G, A), checked_vset(G, B)
+    if len(A) != len(B):
+        raise ValueError(f"|A|={len(A)} != |B|={len(B)}")
+    n = G.n
+    # node 2v = v_in, 2v+1 = v_out, source = 2n, sink = 2n+1;
+    # only the in->out arcs have capacity 1, so the min cut is a vertex cut
+    source, sink = 2 * n, 2 * n + 1
+    big = n + 1
+    cap: dict[tuple[int, int], int] = {}
+    orig: dict[tuple[int, int], int] = {}
+    succ: dict[int, list[int]] = {}
+
+    def link(u: int, w: int, c: int) -> None:
+        cap[(u, w)] = cap.get((u, w), 0) + c
+        cap.setdefault((w, u), 0)
+        orig[(u, w)] = orig.get((u, w), 0) + c
+        succ.setdefault(u, []).append(w)
+        succ.setdefault(w, []).append(u)
+
+    for v in range(n):
+        link(2 * v, 2 * v + 1, 1)
+    for u, v in G.edges():
+        link(2 * u + 1, 2 * v, big)
+        link(2 * v + 1, 2 * u, big)
+    for a in A:
+        link(source, 2 * a, big)
+    for b in B:
+        link(2 * b + 1, sink, big)
+
+    flow = 0
+    while True:
+        # BFS for an augmenting path
+        prev = {source: source}
+        queue = deque([source])
+        while queue and sink not in prev:
+            x = queue.popleft()
+            for y in succ.get(x, ()):
+                if y not in prev and cap.get((x, y), 0) > 0:
+                    prev[y] = x
+                    queue.append(y)
+        if sink not in prev:
+            break
+        x = sink
+        while x != source:
+            p = prev[x]
+            cap[(p, x)] -= 1
+            cap[(x, p)] += 1
+            x = p
+        flow += 1
+
+    if flow == len(A):
+        # an arc carries flow iff its residual capacity dropped below the
+        # original; unit vertex capacity makes the walk deterministic
+        def flow_on(u: int, w: int) -> int:
+            return orig.get((u, w), 0) - cap.get((u, w), 0)
+
+        paths = []
+        for a in A:
+            assert flow_on(source, 2 * a) > 0
+            path = [a]
+            v = a
+            while True:
+                v_out = 2 * v + 1
+                if flow_on(v_out, sink) > 0:
+                    break
+                nxt = next(
+                    y for y in succ.get(v_out, ()) if flow_on(v_out, y) > 0
+                )
+                v = nxt // 2
+                path.append(v)
+            paths.append(tuple(path))
+        return Linkage(tuple(paths))
+
+    # min cut: residual-reachable set from source
+    reach = {source}
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for y in succ.get(x, ()):
+            if y not in reach and cap.get((x, y), 0) > 0:
+                reach.add(y)
+                queue.append(y)
+    cut = {v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach}
+    left = {v for v in range(n) if 2 * v in reach or 2 * v + 1 in reach} | cut
+    right = (set(range(n)) - left) | cut
+    sep = Separation(vset(left), vset(right))
+    sep.validate(G)
+    assert sep.order < len(A)
+    assert set(A) <= set(sep.left) and set(B) <= set(sep.right)
+    return sep
+
+
+def surgery_bags():
+    """(name, bag subgraph, left boundary, right boundary) for every internal
+    bag of small versions of the surgery-chains path decompositions."""
+    k = 10
+    ladder = Graph(2 * k, [(i, i + 1) for i in range(k - 1)]
+                   + [(k + i, k + i + 1) for i in range(k - 1)]
+                   + [(i, k + i) for i in range(k)])
+    families = [
+        ("fan1", gen_fan(1, 12), [[i, i + 1, 12] for i in range(11)]),
+        ("fan3", gen_fan(3, 10), [[i, i + 1, 10, 11, 12] for i in range(9)]),
+        ("tri5", gen_triangulated_grid(5, 10),
+         [[i * 10 + j for i in range(5)] + [i * 10 + j + 1 for i in range(5)]
+          for j in range(9)]),
+        ("ladder", ladder, [[i, k + i, i + 1, k + i + 1] for i in range(k - 1)]),
+    ]
+    for name, G, bags in families:
+        P = PathDecomposition(tuple(vset(b) for b in bags))
+        for z in range(1, len(bags) - 1):
+            sub, relabel = induced_subgraph(G, P.bags[z])
+            yield (f"{name}/{z}", sub,
+                   [relabel[v] for v in P.boundary(z - 1, z)],
+                   [relabel[v] for v in P.boundary(z, z + 1)])
+
+
+@st.composite
+def linkage_instances(draw):
+    """A graph on at most 10 vertices (sometimes two disjoint pieces) and
+    equal-size, possibly overlapping, possibly empty A and B."""
+    G = draw(graphs(max_n=10, min_n=0))
+    if draw(st.booleans()):
+        H = draw(graphs(max_n=5, min_n=0))
+        G = Graph(G.n + H.n, list(G.edges()) + [(u + G.n, v + G.n) for u, v in H.edges()])
+    k = draw(st.integers(min_value=0, max_value=G.n))
+    A = draw(st.permutations(range(G.n)))[:k]
+    B = draw(st.permutations(range(G.n)))[:k]
+    return G, A, B
+
+
 class TestLinkage:
     def test_disjoint_paths_on_ladder(self):
         # two parallel paths
@@ -470,3 +610,42 @@ class TestLinkage:
                     seen.update(path)
             else:
                 assert res.order == menger < len(A)
+
+    def test_unequal_ends_are_an_error(self):
+        with pytest.raises(ValueError, match=r"\|A\|=2 != \|B\|=1"):
+            find_linkage(gen_path(3), (0, 1), (2,))
+
+    @given(linkage_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_kernel(self, inst):
+        G, A, B = inst
+        assert find_linkage(G, A, B) == reference_find_linkage(G, A, B)
+
+    def test_matches_reference_kernel_on_surgery_bags(self):
+        # the boundary pair of every bag, and every pair of equal-size ends
+        # on the bags of at most five vertices
+        seen = set()
+        for name, sub, left, right in surgery_bags():
+            pairs = [(left, right), (right, left)]
+            if sub.n <= 5:
+                pairs += [
+                    (A, B)
+                    for k in range(sub.n + 1)
+                    for A in itertools.combinations(range(sub.n), k)
+                    for B in itertools.combinations(range(sub.n), k)
+                ]
+            for A, B in pairs:
+                res = find_linkage(sub, A, B)
+                assert res == reference_find_linkage(sub, A, B), (name, A, B)
+                seen.add(type(res))
+        assert seen == {Linkage, Separation}
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_kernel_on_random_bag_ends(self, data):
+        bags = list(surgery_bags())
+        _, sub, _, _ = bags[data.draw(st.integers(0, len(bags) - 1))]
+        k = data.draw(st.integers(0, sub.n))
+        A = data.draw(st.permutations(range(sub.n)))[:k]
+        B = data.draw(st.permutations(range(sub.n)))[:k]
+        assert find_linkage(sub, A, B) == reference_find_linkage(sub, A, B)

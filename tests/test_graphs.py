@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from islandkit.graphs import (
@@ -66,7 +66,8 @@ class TestParsing:
         assert (G.n, G.m) == (6, 2)
         assert G.adj[5] == (3,)
 
-    @given(graphs(max_n=8))
+    @given(graphs(max_n=8, min_n=0))
+    @example(Graph(0, []))
     @settings(max_examples=60, deadline=None)
     def test_write_parse_roundtrip(self, G):
         H = parse_graph(write_graph(G))
