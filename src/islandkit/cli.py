@@ -29,12 +29,18 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _vertex_list(G: Graph, text: str) -> tuple[int, ...]:
-    """A comma-separated vertex list in the given order, each id checked
-    against G."""
-    ids = tuple(int(x) for x in text.split(",") if x != "")
+def _vertex_list(G: Graph, text: str, name: str) -> tuple[int, ...]:
+    """The comma-separated vertex list given as argument `name`, in the
+    given order, each id checked against G."""
+    ids = []
+    for token in text.split(","):
+        if token != "":
+            try:
+                ids.append(int(token))
+            except ValueError:
+                raise ValueError(f"{name}: {token!r} is not a vertex id") from None
     checked_vset(G, ids)
-    return ids
+    return tuple(ids)
 
 
 def _load_graph(path: str) -> Graph:
@@ -158,6 +164,8 @@ def _default_finder(bruteforce_cap: int, alpha: float):
     """Cascade: exact minimum island on small residuals, the sparse
     pipeline when the density precondition holds, otherwise the whole
     residual (always a valid island)."""
+    if not alpha > 0:
+        raise ValueError(f"--alpha must be > 0, got {alpha}")
 
     def finder(g: Graph, t: int):
         if g.n <= bruteforce_cap:
@@ -203,7 +211,7 @@ def cmd_color(args, started: float) -> int:
 
 def cmd_percolate(args, started: float) -> int:
     G = _load_graph(args.graph)
-    seeds = _vertex_list(G, args.seeds)
+    seeds = _vertex_list(G, args.seeds, "seeds")
     params = {
         "graph": args.graph,
         "input_digest": _digest(args.graph),
@@ -328,7 +336,7 @@ def cmd_verify(args, started: float) -> int:
             payload["violation"] = verdict.violation
             negative = True
     if args.island:
-        members = _vertex_list(G, args.island)
+        members = _vertex_list(G, args.island, "--island")
         verdict = islands.is_island(G, members, args.t)
         payload["island_ok"] = verdict.ok
         if not verdict.ok:

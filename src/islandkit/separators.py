@@ -107,8 +107,12 @@ class SeparatorBudget:
 
 def _balanced_split(sizes: list[int], n_total: int) -> tuple[list[int], list[int]] | None:
     """Split component indices into two groups, each of total size at most
-    (2/3) n_total.  Exact subset-sum for few components, greedy otherwise."""
+    (2/3) n_total.  Exact subset-sum for few components, greedy otherwise;
+    when sum(sizes) <= n_total both find a split exactly when the largest
+    part is at most (2/3) n_total."""
     limit = BALANCE_NUM * n_total  # compare 3*size <= 2*n
+    if BALANCE_DEN * max(sizes, default=0) > limit:
+        return None  # the group holding the largest part is too big
     k = len(sizes)
     if k <= 16:
         total = sum(sizes)
@@ -196,12 +200,15 @@ def bfs_level_separator(G: Graph) -> Separation:
     leaves components that split into two 2/3-balanced groups; ties go to
     the level nearest the root.
 
-    One union-find sweep adds the levels from the deepest to the root, so
-    the whole call costs O((n+m)*alpha(n)).  Just before level i is added
-    the structure holds G[levels > i], and each of its components touches
-    level i+1, so the component sizes of G - level(i) are read off level
-    i+1 plus the single component G[levels < i], which contains vertex 0.
-    Only the winning level's sides are materialised.
+    Parts summing to at most n split into two groups of at most 2n/3 each
+    exactly when the largest part is at most 2n/3 (a part of at least n/3
+    goes alone; smaller parts fill one group up to n/3), so a level is
+    decided by its largest component alone.  One union-find sweep adds the
+    levels from the deepest to the root, O((n+m)*alpha(n)) in all.  Just
+    before level i is added the structure holds G[levels > i], whose
+    components each touch level i+1; the only other component of
+    G - level(i) is G[levels < i], which contains vertex 0.  The split
+    itself is computed once, for the winning level.
     """
     if G.n == 0:
         raise GraphValidityError("empty graph")
@@ -211,7 +218,6 @@ def bfs_level_separator(G: Graph) -> Separation:
         raise GraphValidityError("bfs_level_separator requires a connected graph")
     parent = list(range(n))
     size = [1] * n
-    low = list(range(n))  # minimum vertex of each root's component
     added = [False] * n
 
     def find(v: int) -> int:
@@ -222,20 +228,16 @@ def bfs_level_separator(G: Graph) -> Separation:
             parent[v], v = root, parent[v]
         return root
 
-    best: tuple[int, int, tuple[list[int], list[int]]] | None = None  # (|level|, index, split)
+    limit = BALANCE_NUM * n  # a part of size s fits when 3*s <= 2*n
+    best: tuple[int, int] | None = None  # (|level|, index)
     deeper = 0  # vertices in levels deeper than idx
     for idx in range(len(levels) - 1, -1, -1):
         level = levels[idx]
-        if best is None or len(level) <= best[0]:
-            # components of G - level, ordered by minimum vertex as
-            # components_within orders them
+        above = n - deeper - len(level)
+        if (best is None or len(level) <= best[0]) and BALANCE_DEN * above <= limit:
             nxt = levels[idx + 1] if idx + 1 < len(levels) else ()
-            comps = sorted((low[r], size[r]) for r in {find(v) for v in nxt})
-            above = n - deeper - len(level)
-            sizes = ([above] if above else []) + [s for _, s in comps]
-            split = _balanced_split(sizes, n)
-            if split is not None:
-                best = (len(level), idx, split)
+            if BALANCE_DEN * max((size[find(v)] for v in nxt), default=0) <= limit:
+                best = (len(level), idx)
         for v in level:
             added[v] = True
         for v in level:
@@ -247,18 +249,15 @@ def bfs_level_separator(G: Graph) -> Separation:
                             ru, rv = rv, ru
                         parent[rv] = ru
                         size[ru] += size[rv]
-                        low[ru] = min(low[ru], low[rv])
         deeper += len(level)
-    assert best is not None  # some level always balances
-    _, idx, (g1, g2) = best
-    level = levels[idx]
+    assert best is not None  # the first level taking the prefix past n/3 balances
+    level = levels[best[1]]
     inlevel = set(level)
     comps = components_within(G, [v for v in range(n) if v not in inlevel])
+    g1, g2 = _balanced_split([len(c) for c in comps], n)  # the largest part fits
     side1 = [v for i in g1 for v in comps[i]]
     side2 = [v for i in g2 for v in comps[i]]
-    sep = Separation(vset(side1 + list(level)), vset(side2 + list(level)))
-    sep.validate(G)
-    return sep
+    return Separation(vset(side1 + list(level)), vset(side2 + list(level)))
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,24 @@ class TestColorPercolateShatter:
         assert "error: t must be >= 1" in err
         assert "residual" not in err
 
+    def test_color_nonpositive_alpha_is_rejected_at_entry(self, tmp_path, capsys):
+        # 36 vertices: above the brute-force cap, so the sparse finder runs
+        path = tmp_path / "g66.txt"
+        assert main(["gen", "triangulated_grid", "6", "6", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["color", str(path), "4", "--alpha", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: --alpha must be > 0, got -1.0" in err
+        assert "residual" not in err
+
+    @pytest.mark.parametrize("alpha", ["0", "-1"])
+    def test_color_nonpositive_alpha_is_rejected_below_bruteforce_cap(
+        self, k23, capsys, alpha
+    ):
+        # 5 vertices: only the brute-force finder would run, alpha is never read
+        assert main(["color", k23, "2", "--alpha", alpha]) == 1
+        assert "error: --alpha must be > 0" in capsys.readouterr().err
+
     def test_percolate(self, k23, capsys):
         assert main(["percolate", k23, "0,1", "2"]) == 0
         assert "percolates: True" in capsys.readouterr().out
@@ -186,6 +204,18 @@ class TestVertexIdsAtTheBoundary:
         capsys.readouterr()
         assert main(["--json", "percolate", p3, "-1", "1"]) == 1
         assert "vertex -1 out of range" in capsys.readouterr().err
+
+    def test_percolate_malformed_seed_names_the_token(self, p3, capsys):
+        capsys.readouterr()
+        assert main(["percolate", p3, "1,x", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: seeds: 'x' is not a vertex id" in err
+        assert "invalid literal" not in err
+
+    def test_verify_malformed_island_names_the_token(self, p3, capsys):
+        capsys.readouterr()
+        assert main(["verify", p3, "--island", "0,1.5", "--t", "1"]) == 1
+        assert "error: --island: '1.5' is not a vertex id" in capsys.readouterr().err
 
     def test_verify_island_out_of_range_is_error(self, p3, capsys):
         capsys.readouterr()

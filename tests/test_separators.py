@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from islandkit import separators
 from islandkit.graphs import (
@@ -15,6 +16,7 @@ from islandkit.separators import (
     SeparatorBudget,
     SeparatorContractError,
     ShatterBudgetError,
+    _balanced_split,
     bfs_level_separator,
     brute_force_separator,
     default_shatterer,
@@ -61,6 +63,23 @@ class TestBfsSeparator:
         sep = bfs_level_separator(G)
         sep.validate(G)
         assert 0 < sep.order < G.n
+
+
+class TestBalancedSplitLemma:
+    """Parts summing to at most n split into two groups of at most 2n/3
+    each exactly when the largest part is at most 2n/3."""
+
+    @given(st.lists(st.integers(0, 60), max_size=16), st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_split_exists_iff_largest_part_fits(self, sizes, extra):
+        n = sum(sizes) + extra
+        assert (_balanced_split(sizes, n) is None) == (3 * max(sizes, default=0) > 2 * n)
+
+    @given(st.lists(st.integers(0, 60), min_size=17, max_size=40), st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_greedy_split_exists_iff_largest_part_fits(self, sizes, extra):
+        n = sum(sizes) + extra
+        assert (_balanced_split(sizes, n) is None) == (3 * max(sizes) > 2 * n)
 
 
 class TestBudget:
@@ -134,6 +153,17 @@ class TestWorkCounts:
         calls = self._count(monkeypatch, "components_within")
         G = gen_triangulated_grid(20, 20)  # 39 BFS levels
         bfs_level_separator(G)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "G",
+        [gen_triangulated_grid(20, 20), gen_path(300), gen_complete_bipartite(1, 40)],
+        ids=["grid", "path", "star"],
+    )
+    def test_one_split_per_separator_call(self, monkeypatch, G):
+        calls = self._count(monkeypatch, "_balanced_split")
+        sep = bfs_level_separator(G)
+        sep.validate(G)
         assert len(calls) == 1
 
     def test_shatter_verifies_once(self, monkeypatch, rng):
