@@ -24,11 +24,6 @@ from .decomposition import (
 from .graphs import GENERATORS, Graph, checked_vset, parse_graph, write_graph
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _vertex_list(G: Graph, text: str, name: str) -> tuple[int, ...]:
     """The comma-separated vertex list given as argument `name`, in the
     given order, each id checked against G."""
@@ -43,11 +38,13 @@ def _vertex_list(G: Graph, text: str, name: str) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def _load_graph(path: str) -> Graph:
-    with open(path) as fh:
-        G = parse_graph(fh.read())
+def _load_graph(path: str) -> tuple[Graph, str]:
+    """The graph in the file at path and the sha256 of the file's bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    G = parse_graph(data.decode())
     G.validate()
-    return G
+    return G, hashlib.sha256(data).hexdigest()
 
 
 def _load_lists(path: str, n: int) -> coloring.ListAssignment:
@@ -119,10 +116,10 @@ def cmd_gen(args, started: float) -> int:
 
 
 def cmd_island(args, started: float) -> int:
-    G = _load_graph(args.graph)
+    G, digest = _load_graph(args.graph)
     params = {
         "graph": args.graph,
-        "input_digest": _digest(args.graph),
+        "input_digest": digest,
         "t": args.t,
         "mode": args.mode,
         "alpha": args.alpha,
@@ -181,10 +178,10 @@ def _default_finder(bruteforce_cap: int, alpha: float):
 
 
 def cmd_color(args, started: float) -> int:
-    G = _load_graph(args.graph)
+    G, digest = _load_graph(args.graph)
     params = {
         "graph": args.graph,
-        "input_digest": _digest(args.graph),
+        "input_digest": digest,
         "t": args.t,
         "lists": args.lists,
     }
@@ -210,11 +207,11 @@ def cmd_color(args, started: float) -> int:
 
 
 def cmd_percolate(args, started: float) -> int:
-    G = _load_graph(args.graph)
+    G, digest = _load_graph(args.graph)
     seeds = _vertex_list(G, args.seeds, "seeds")
     params = {
         "graph": args.graph,
-        "input_digest": _digest(args.graph),
+        "input_digest": digest,
         "seeds": list(seeds),
         "t": args.t,
     }
@@ -231,10 +228,10 @@ def cmd_percolate(args, started: float) -> int:
 
 
 def cmd_shatter(args, started: float) -> int:
-    G = _load_graph(args.graph)
+    G, digest = _load_graph(args.graph)
     params = {
         "graph": args.graph,
-        "input_digest": _digest(args.graph),
+        "input_digest": digest,
         "epsilon": args.epsilon,
         "oracle": args.oracle,
     }
@@ -261,12 +258,12 @@ def cmd_shatter(args, started: float) -> int:
 
 
 def cmd_pathdecomp(args, started: float) -> int:
-    G = _load_graph(args.graph)
+    G, digest = _load_graph(args.graph)
     with open(args.decomposition) as fh:
         D = parse_decomposition(fh.read())
     params = {
         "graph": args.graph,
-        "input_digest": _digest(args.graph),
+        "input_digest": digest,
         "decomposition": args.decomposition,
         "chain": args.chain,
         "t": args.t,
@@ -323,8 +320,8 @@ def cmd_pathdecomp(args, started: float) -> int:
 
 
 def cmd_verify(args, started: float) -> int:
-    G = _load_graph(args.graph)
-    params = {"graph": args.graph, "input_digest": _digest(args.graph)}
+    G, digest = _load_graph(args.graph)
+    params = {"graph": args.graph, "input_digest": digest}
     payload: dict = {"graph_ok": True, "n": G.n, "m": G.m}
     negative = False
     if args.decomposition:

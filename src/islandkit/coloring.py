@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .graphs import Graph, components_within, gen_fan, induced_subgraph, vset
-from .islands import GraphTooLarge, min_island_size_bruteforce
+from .islands import GraphTooLarge, is_island, min_island_size_bruteforce
 
 
 class IslandFinderError(RuntimeError):
@@ -121,17 +121,15 @@ def _peel_islands(
             raise IslandFinderError(
                 "island finder returned an invalid set", tuple(remaining)
             )
+        verdict = is_island(sub, local, t)
+        if not verdict.ok:
+            raise IslandFinderError(
+                f"finder returned a non-island: vertex {remaining[verdict.witness]} has "
+                f"{verdict.witness_outside_degree} outside neighbors in the residual graph",
+                tuple(remaining),
+            )
         island = tuple(remaining[v] for v in local)
-        residual = set(remaining)
         island_set = set(island)
-        for v in island:
-            out = sum(1 for u in G.adj[v] if u in residual and u not in island_set)
-            if out >= t:
-                raise IslandFinderError(
-                    f"finder returned a non-island: vertex {v} has {out} outside "
-                    "neighbors in the residual graph",
-                    tuple(remaining),
-                )
         islands.append(island)
         remaining = [v for v in remaining if v not in island_set]
     return islands
@@ -175,10 +173,9 @@ def greedy_clustered_coloring(
     G: Graph, t: int, island_finder: IslandFinder
 ) -> tuple[ClusteredColoring, IslandEliminationTrace]:
     """Plain greedy coloring: uniform lists {0, ..., t-1}."""
-    col, trace = greedy_clustered_list_coloring(
+    return greedy_clustered_list_coloring(
         G, ListAssignment.uniform(G.n, t), t, island_finder
     )
-    return ClusteredColoring(col.colors, t, col.achieved_clustering), trace
 
 
 def chi_C_bruteforce(G: Graph, C: int, cap: int = 14) -> int:

@@ -5,14 +5,13 @@ tree-decomposition builder.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graphs import Graph, Separation, checked_vset, vset
+from .graphs import Graph, Separation, checked_vset, reach, vset
 
 
 @dataclass(frozen=True)
@@ -140,20 +139,12 @@ def validate_decomposition(
             True, adhesion=D.adhesion, width=D.width, proper=D.proper
         )
     adj = D.adjacency()
-    for v in range(G.n):
-        hits = set(where[v])
+    for v, hits in enumerate(where):
         if not hits:
             return DecompositionVerdict(False, f"vertex {v} in no bag")
-        start = where[v][0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y in hits and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if seen != hits:
+        trace = set(hits)
+        reach(adj, hits[0], trace)
+        if trace:
             return DecompositionVerdict(False, f"vertex {v} trace not connected")
     return DecompositionVerdict(True, width=D.width)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class GraphParseError(ValueError):
@@ -191,26 +191,33 @@ def write_graph(G: Graph, comment: str = "islandkit") -> str:
 # basic queries
 # ---------------------------------------------------------------------------
 
+def reach(
+    adj: Sequence[Sequence[int]], start: int, unvisited: set[int]
+) -> dict[int, int]:
+    """Breadth-first search from start through the vertices of unvisited,
+    walking each adjacency row in stored order.  Consumes unvisited: every
+    vertex reached, start included, is removed from it.  Returns each
+    reached vertex mapped to its BFS parent (start to -1), in visit order."""
+    unvisited.discard(start)
+    parent = {start: -1}
+    order = [start]
+    for x in order:
+        for y in adj[x]:
+            if y in unvisited:
+                unvisited.remove(y)
+                parent[y] = x
+                order.append(y)
+    return parent
+
+
 def components_within(G: Graph, S: Iterable[int]) -> list[tuple[int, ...]]:
     """Connected components of G[S], without building the induced subgraph."""
-    inset = set(S)
-    seen: set[int] = set()
-    out: list[tuple[int, ...]] = []
-    for s in sorted(inset):
-        if s in seen:
-            continue
-        seen.add(s)
-        comp = [s]
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in G.adj[v]:
-                if u in inset and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    queue.append(u)
-        out.append(tuple(sorted(comp)))
-    return out
+    unvisited = set(S)
+    return [
+        tuple(sorted(reach(G.adj, s, unvisited)))
+        for s in sorted(unvisited)
+        if s in unvisited
+    ]
 
 
 def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -31,6 +31,7 @@ from .graphs import (
     gen_complete_bipartite,
     gen_fan,
     induced_subgraph,
+    reach,
     verify_minor_model,
     vset,
 )
@@ -118,59 +119,25 @@ def _tree_path_bags(
         return [T.bags[z] for z in nodes]
     degrees = {z: len(adj[z]) for z in nodes}
     hub = max(nodes, key=lambda z: degrees[z])
-
-    def far(start: int) -> tuple[int, dict[int, int]]:
-        prev = {start: start}
-        order = [start]
-        for x in order:
-            for y in adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    order.append(y)
-        return order[-1], prev
-
-    a, _ = far(nodes[0])
-    b, prev = far(a)
-    spine = [b]
+    # a longest path: from the node farthest from a back to a, where a is
+    # the node farthest from nodes[0]
+    a = [*reach(adj, nodes[0], set(nodes))][-1]
+    prev = reach(adj, a, set(nodes))
+    spine = [[*prev][-1]]
     while spine[-1] != a:
         spine.append(prev[spine[-1]])
+
+    def union(comp) -> tuple[int, ...]:
+        return vset(set().union(*(T.bags[x] for x in comp)))
+
+    # Branches of a tree are disjoint, so each walk below may consume one
+    # shared set of unvisited nodes.
     if degrees[hub] >= len(spine):
         # star case: bags of the branches around the hub
-        branches: list[list[int]] = []
-        seen: set[int] = set()
-        for start in sorted(adj[hub]):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            for x in comp:
-                for y in adj[x]:
-                    if y != hub and y not in seen:
-                        seen.add(y)
-                        comp.append(y)
-            branches.append(comp)
-        bags = []
-        for comp in branches:
-            merged = set(T.bags[hub])
-            for x in comp:
-                merged.update(T.bags[x])
-            bags.append(vset(merged))
-        return bags
-    spine_set = set(spine)
-    bags = []
-    for z in spine:
-        comp = [z]
-        seen = {z}
-        for x in comp:
-            for y in adj[x]:
-                if y not in seen and y not in spine_set:
-                    seen.add(y)
-                    comp.append(y)
-        merged: set[int] = set()
-        for x in comp:
-            merged.update(T.bags[x])
-        bags.append(vset(merged))
-    return bags
+        off_hub = set(nodes) - {hub}
+        return [union([hub, *reach(adj, start, off_hub)]) for start in sorted(adj[hub])]
+    off_spine = set(nodes).difference(spine)
+    return [union(reach(adj, z, off_spine)) for z in spine]
 
 
 def tree_to_path(G: Graph, T: TreeDecomposition) -> TransformResult:
@@ -186,13 +153,7 @@ def tree_to_path(G: Graph, T: TreeDecomposition) -> TransformResult:
     if not verdict.ok:
         raise AuditError(f"invalid tree decomposition: {verdict.violation}")
     adj = T.adjacency()
-    order = [0] if T.bags else []  # BFS order of the tree's nodes
-    seen = set(order)
-    for x in order:
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
+    order = [*reach(adj, 0, set(range(T.order)))] if T.bags else []
     P, _ = restore_properness(PathDecomposition(tuple(_tree_path_bags(T, adj, order))))
     verdict = validate_decomposition(G, P)
     if not verdict.ok or not P.proper:
@@ -460,33 +421,22 @@ def _appuniv_rec(
     options: list[tuple[PathDecomposition, tuple[tuple[int, int], ...]]] = []
 
     # block-merge branch: blocks of the longest run length
-    blocks = [
-        (s, min(s + max_run - 1, order - 1)) for s in range(0, order, max_run)
-    ]
+    blocks = _cut_after(range(max_run - 1, order - 1, max_run), order)
     merged = coarsen_by_blocks(P, blocks)
     options.append((merged, tuple(blocks)))
 
-    if max_run > 2:
-        # peel branch: restrict to the longest run, drop the vertex, recurse
-        v, (a, b) = max(partial.items(), key=lambda kv: kv[1][1] - kv[1][0])
-        blocks = []
-        if a > 0:
-            blocks.append((0, a))
-        else:
-            blocks.append((0, 0))
-        blocks.extend((i, i) for i in range(blocks[-1][1] + 1, b))
-        if b > blocks[-1][1]:
-            blocks.append((b, order - 1))
-        restricted = coarsen_by_blocks(P, blocks)
-        outer_intervals = tuple(blocks)
-        peeled = PathDecomposition(
-            tuple(vset(set(bag) - {v}) for bag in restricted.bags)
-        )
-        sub_result, sub_intervals = _appuniv_rec(peeled)
-        readded = PathDecomposition(
-            tuple(vset(set(bag) | {v}) for bag in sub_result.bags)
-        )
-        options.append((readded, _compose_intervals(sub_intervals, outer_intervals)))
+    # peel branch: restrict to the longest run, drop the vertex, recurse
+    v, (a, b) = max(partial.items(), key=lambda kv: kv[1][1] - kv[1][0])
+    blocks = _cut_after(range(a, b), order)
+    restricted = coarsen_by_blocks(P, blocks)
+    peeled = PathDecomposition(
+        tuple(vset(set(bag) - {v}) for bag in restricted.bags)
+    )
+    sub_result, sub_intervals = _appuniv_rec(peeled)
+    readded = PathDecomposition(
+        tuple(vset(set(bag) | {v}) for bag in sub_result.bags)
+    )
+    options.append((readded, _compose_intervals(sub_intervals, blocks)))
     return max(options, key=lambda opt: opt[0].order)
 
 
@@ -747,18 +697,11 @@ def _build_minor(
     # stretches between them into the path of the fan
     spine = paths[sig.sigma_z - 1]
     pos = {v: i for i, v in enumerate(spine)}
-    on_spine = sorted(
-        ((pos[vz], z, vz, chosen) for (z, vz, chosen) in members),
-        key=lambda x: x[0],
-    )[:m]
-    if len(on_spine) < m:
-        return IslandOrMinorResult(
-            "order_too_small", note=f"only {len(on_spine)} witnesses on the spine path"
-        )
+    on_spine = sorted(pos[vz] for _, vz, _ in members)[:m]
     H = gen_fan(t - 1, m)
     branch = {}
     prev = 0
-    for r, (p, z, vz, chosen) in enumerate(on_spine):
+    for r, p in enumerate(on_spine):
         branch[r] = tuple(spine[prev : p + 1])
         prev = p + 1
     apexes = [j for j in used if j != sig.sigma_z - 1]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -191,6 +192,15 @@ class TestVerify:
 
     def test_missing_file_is_error(self):
         assert main(["verify", "no-such-file.txt"]) == 1
+
+    def test_crlf_file_with_comment(self, tmp_path, capsys):
+        data = b"# a triangle\r\n3 3\r\n0 1\r\n1 2  # chord\r\n0 2\r\n"
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(data)
+        assert main(["--json", "verify", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["payload"]["n"], report["payload"]["m"]) == (3, 3)
+        assert report["input_digest"] == hashlib.sha256(data).hexdigest()
 
 
 class TestVertexIdsAtTheBoundary:

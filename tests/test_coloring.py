@@ -95,6 +95,14 @@ class TestGreedy:
         with pytest.raises(IslandFinderError, match="invalid set"):
             greedy_clustered_coloring(gen_cycle(5), 2, lambda g, t: [-1])
 
+    def test_non_island_names_the_original_vertex(self):
+        # residual 1..4 after vertex 0 is peeled; local id 1 is vertex 2
+        def finder(g, t):
+            return [0] if g.n == 5 else [1]
+
+        with pytest.raises(IslandFinderError, match="vertex 2 has 2 outside neighbors"):
+            greedy_clustered_coloring(gen_path(5), 2, finder)
+
 
 class TestOracle:
     def test_k4_needs_four_colors_at_clustering_one(self):

@@ -85,7 +85,7 @@ class TestBalancedSplitLemma:
 class TestBudget:
     def test_sqrt_budget_is_sublinear(self):
         budget = SeparatorBudget("sqrt", 2)
-        assert budget.is_significantly_sublinear
+        assert budget.is_significantly_sublinear()
         assert budget.f(100) == 20
 
     def test_component_bound_decreases_with_epsilon(self):
