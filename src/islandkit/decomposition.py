@@ -73,9 +73,6 @@ class PathDecomposition:
 class DecompositionVerdict:
     ok: bool
     violation: str | None = None
-    adhesion: int | None = None
-    width: int | None = None
-    proper: bool | None = None
 
 
 class DecompositionParseError(ValueError):
@@ -108,8 +105,7 @@ def validate_decomposition(
     G: Graph, D: TreeDecomposition | PathDecomposition
 ) -> DecompositionVerdict:
     """Check that a tree decomposition's edges form a tree, that bags name
-    vertices of G, edge coverage and per-vertex connectivity; report
-    adhesion, width and properness for path decompositions."""
+    vertices of G, edge coverage and per-vertex connectivity."""
     bags = D.bags
     if not bags:
         return DecompositionVerdict(G.n == 0, None if G.n == 0 else "no bags")
@@ -135,9 +131,7 @@ def validate_decomposition(
                 return DecompositionVerdict(False, f"vertex {v} in no bag")
             if hits[-1] - hits[0] + 1 != len(hits):
                 return DecompositionVerdict(False, f"vertex {v} trace not consecutive")
-        return DecompositionVerdict(
-            True, adhesion=D.adhesion, width=D.width, proper=D.proper
-        )
+        return DecompositionVerdict(True)
     adj = D.adjacency()
     for v, hits in enumerate(where):
         if not hits:
@@ -146,7 +140,7 @@ def validate_decomposition(
         reach(adj, hits[0], trace)
         if trace:
             return DecompositionVerdict(False, f"vertex {v} trace not connected")
-    return DecompositionVerdict(True, width=D.width)
+    return DecompositionVerdict(True)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +209,6 @@ class Linkage:
     from its A-end to its B-end."""
 
     paths: tuple[tuple[int, ...], ...]
-
-    def vertices(self) -> set[int]:
-        return {v for p in self.paths for v in p}
 
 
 def find_linkage(G: Graph, A: Iterable[int], B: Iterable[int]) -> Linkage | Separation:

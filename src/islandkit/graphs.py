@@ -78,9 +78,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.adj[u]
         i = bisect_left(row, v)
@@ -177,10 +174,10 @@ def parse_graph(text: str) -> Graph:
     return Graph._from_adj(tuple(tuple(sorted(s)) for s in neighbor_sets), len(rows))
 
 
-def write_graph(G: Graph, comment: str = "islandkit") -> str:
+def write_graph(G: Graph) -> str:
     """Emit the edge-list format accepted by parse_graph.  The empty graph
     gets no header: parse_graph would read "0 0" as a loop."""
-    lines = [f"# generated-by {comment}"]
+    lines = ["# generated-by islandkit"]
     if G.n:
         lines.append(f"{G.n} {G.m}")
     lines.extend(f"{u} {v}" for u, v in G.edges())

@@ -59,8 +59,6 @@ class IslandVerdict:
 @dataclass(frozen=True)
 class EnclaveCertificate:
     members: tuple[int, ...]
-    t: int
-    incident_edges: int
 
 
 @dataclass
@@ -84,10 +82,7 @@ class SparseIslandParams:
     def epsilon(self) -> Fraction:
         return self.alpha / (2 * self.t)
 
-    def delta(self, C: int | None = None) -> Fraction:
-        C = C if C is not None else self.C
-        if C is None:
-            raise ValueError("component bound C not known yet")
+    def delta(self, C: int) -> Fraction:
         return self.alpha / (2 * self.t * C)
 
 
@@ -126,7 +121,7 @@ def enclave_certificate(G: Graph, A: Iterable[int], t: int) -> EnclaveCertificat
     e = incident_edge_count(G, members)
     if not members or e >= t * len(members):
         raise NotAnEnclave(f"e(A)={e} >= t|A|={t * len(members)}")
-    return EnclaveCertificate(members, t, e)
+    return EnclaveCertificate(members)
 
 
 def is_enclave(G: Graph, A: Iterable[int], t: int) -> bool:

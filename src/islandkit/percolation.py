@@ -27,8 +27,6 @@ from .islands import (
 
 @dataclass(frozen=True)
 class PercolationRun:
-    t: int
-    initially_active: tuple[int, ...]
     final_active: tuple[int, ...]
     activation_order: tuple[tuple[int, int], ...]  # (vertex, step)
 
@@ -40,13 +38,12 @@ def percolate(G: Graph, A0, t: int) -> PercolationRun:
     `peel` removes from V \\ A0; the closure itself is schedule-independent,
     the recorded order is just one valid schedule.
     """
-    seeds = checked_vset(G, A0)
-    seedset = set(seeds)
+    seedset = set(checked_vset(G, A0))
     rounds, island = peel(G, [v for v in range(G.n) if v not in seedset], t)
     order = tuple((v, step) for step, newly in enumerate(rounds, 1) for v in newly)
     inactive = set(island)
     final = tuple(v for v in range(G.n) if v not in inactive)
-    return PercolationRun(t, seeds, final, order)
+    return PercolationRun(final, order)
 
 
 def t_percolates(G: Graph, A0, t: int) -> bool:

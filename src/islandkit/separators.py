@@ -137,7 +137,7 @@ def _balanced_split(sizes: list[int], n_total: int) -> tuple[list[int], list[int
     return None
 
 
-def brute_force_separator(G: Graph, max_order: int | None = None) -> Separation:
+def brute_force_separator(G: Graph) -> Separation:
     """Minimum-order balanced separation of a tiny graph by exhaustion.
 
     Separations with both strict sides non-empty are preferred; if none
@@ -147,51 +147,31 @@ def brute_force_separator(G: Graph, max_order: int | None = None) -> Separation:
     n = G.n
     if n > 16:
         raise GraphTooLarge(f"n={n} exceeds brute-force separator cap 16")
-    cap = n if max_order is None else min(max_order, n)
 
     def search(require_nonempty: bool) -> Separation | None:
-        for k in range(cap + 1):
+        for k in range(n + 1):
             for cut in combinations(range(n), k):
                 rest = [v for v in range(n) if v not in set(cut)]
                 comps = components_within(G, rest)
-                sizes = [len(c) for c in comps]
-                split = _balanced_split(sizes, n)
+                split = _balanced_split([len(c) for c in comps], n)
                 if split is None:
                     continue
                 g1, g2 = split
-                side1 = sorted(v for i in g1 for v in comps[i])
-                side2 = sorted(v for i in g2 for v in comps[i])
-                if require_nonempty and (not side1 or not side2):
-                    # try the exhaustive alternative groupings before giving up
-                    found = None
-                    for r in range(1, len(comps)):
-                        for group in combinations(range(len(comps)), r):
-                            a = sum(sizes[i] for i in group)
-                            b = sum(sizes) - a
-                            if (
-                                BALANCE_DEN * a <= BALANCE_NUM * n
-                                and BALANCE_DEN * b <= BALANCE_NUM * n
-                            ):
-                                found = group
-                                break
-                        if found:
-                            break
-                    if not found:
+                if require_nonempty and not g1:
+                    # an empty first group means all parts fit on one side,
+                    # so any non-empty proper grouping balances too
+                    if len(comps) < 2:
                         continue
-                    side1 = sorted(v for i in found for v in comps[i])
-                    side2 = sorted(
-                        v for i in range(len(comps)) if i not in set(found) for v in comps[i]
-                    )
+                    g1, g2 = [0], list(range(1, len(comps)))
+                side1 = [v for i in g1 for v in comps[i]]
+                side2 = [v for i in g2 for v in comps[i]]
                 sep = Separation(vset(side1 + list(cut)), vset(side2 + list(cut)))
                 sep.validate(G)
                 return sep
         return None
 
-    sep = search(require_nonempty=True)
-    if sep is None:
-        sep = search(require_nonempty=False)
-    if sep is None:
-        raise SeparatorContractError("no balanced separation within order cap")
+    sep = search(require_nonempty=True) or search(require_nonempty=False)
+    assert sep is not None  # cutting every vertex leaves no parts, a trivial split
     return sep
 
 
@@ -273,7 +253,6 @@ class TraceNode:
 class ShatterReport:
     X: tuple[int, ...]
     C: int
-    epsilon_used: Fraction
     tree_trace: tuple[TraceNode, ...]
 
 
@@ -395,7 +374,7 @@ def shatter(
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     if G.n == 0:
-        return ShatterReport((), 0, eps, ())
+        return ShatterReport((), 0, ())
     if budget is not None:
         candidates = [budget.component_bound(eps)]
     else:
@@ -411,7 +390,7 @@ def shatter(
         raise ShatterBudgetError(
             f"no component bound met the epsilon budget after {len(candidates)} tries: {err}"
         ) from None
-    return ShatterReport(tuple(sorted(X_set)), C, eps, tuple(trace))
+    return ShatterReport(tuple(sorted(X_set)), C, tuple(trace))
 
 
 def default_shatterer(G: Graph, epsilon) -> ShatterReport:

@@ -352,12 +352,14 @@ def _make_linked_rec(
                 if not is_broken
             ]
             if runs:
+                # W's internal bags are the run's bags with the same
+                # boundaries (a vertex of an outer block and a run bag lies
+                # in the bag between them), so W is proper and each keeps
+                # the linkage found above
                 run = max(runs, key=len)
                 cuts = range(run[0] - 1, run[-1] + 1)
-                W, _ = restore_properness(coarsen_by_blocks(B, _cut_after(cuts, B.order)))
-                window = audit_linked(G, W)
-                if window.ok:
-                    options.append((W, window.linkages))
+                W = coarsen_by_blocks(B, _cut_after(cuts, B.order))
+                options.append((W, {i: linkages[z] for i, z in enumerate(run, 1)}))
     return max(options, key=lambda opt: opt[0].order)
 
 

@@ -68,7 +68,7 @@ def reference_percolate(G: Graph, A0, t: int) -> PercolationRun:
             active.add(u)
             order.append((u, step))
         frontier = newly
-    return PercolationRun(t, seeds, tuple(sorted(active)), tuple(order))
+    return PercolationRun(tuple(sorted(active)), tuple(order))
 
 
 def reference_monochromatic_components(G: Graph, colors):
