@@ -16,7 +16,6 @@ import time
 
 from . import coloring, islands, percolation, separators, surgery
 from .decomposition import (
-    PathDecomposition,
     parse_decomposition,
     restore_properness,
     validate_decomposition,
@@ -277,8 +276,6 @@ def cmd_pathdecomp(args, started: float) -> int:
         if step == "treepath":
             P = surgery.tree_to_path(G, P).decomposition
         elif step == "proper":
-            if not isinstance(P, PathDecomposition):
-                raise ValueError("proper requires a path decomposition")
             P, _ = restore_properness(P)
         elif step == "linked":
             P = surgery.make_linked(G, P).decomposition

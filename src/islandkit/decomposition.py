@@ -75,6 +75,12 @@ class DecompositionVerdict:
     violation: str | None = None
 
 
+def require_kind(D, kind: type, stage: str) -> None:
+    """Raise TypeError naming the stage unless D is a `kind` decomposition."""
+    if not isinstance(D, kind):
+        raise TypeError(f"{stage} needs a {kind.__name__}, got a {type(D).__name__}")
+
+
 class DecompositionParseError(ValueError):
     """Malformed decomposition text (carries the offending line number)."""
 
@@ -153,6 +159,7 @@ _RECORD_ARITY = {"path": 1, "tree": 1, "edge": 2, "bag": None}  # None: any coun
 def parse_decomposition(text: str) -> TreeDecomposition | PathDecomposition:
     kind: str | None = None
     k = 0
+    edge_line = 0  # line of the first edge record
     edges: list[tuple[int, int]] = []
     bags: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -174,13 +181,20 @@ def parse_decomposition(text: str) -> TreeDecomposition | PathDecomposition:
                 f"line {lineno}: {record!r} takes {arity} integer(s), got {raw!r}"
             )
         if record in ("path", "tree"):
+            if kind is not None:
+                raise DecompositionParseError(f"line {lineno}: second header {raw!r}")
+            if values[0] < 0:
+                raise DecompositionParseError(f"line {lineno}: negative bag count {values[0]}")
             kind, k = record, values[0]
         elif record == "edge":
+            edge_line = edge_line or lineno
             edges.append((values[0], values[1]))
         else:
             bags.append(vset(values))
     if kind is None:
         raise DecompositionParseError("missing 'path k' or 'tree k' header")
+    if kind == "path" and edges:
+        raise DecompositionParseError(f"line {edge_line}: 'edge' record under a 'path' header")
     if len(bags) != k:
         raise DecompositionParseError(f"expected {k} bags, found {len(bags)}")
     if kind == "path":
@@ -431,6 +445,7 @@ def restore_properness(P: PathDecomposition) -> tuple[PathDecomposition, list[tu
     """Merge comparable neighbour bags, leftmost pair first, in one pass:
     each bag absorbs the top of a stack of merged bags while either contains
     the other.  Also returns the interval partition of input bags merged."""
+    require_kind(P, PathDecomposition, "restore_properness")
     stack: list[tuple[set[int], int, int]] = []  # (merged bag, first and last input bag)
     for i, bag in enumerate(P.bags):
         cur, first = set(bag), i

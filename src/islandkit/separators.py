@@ -54,43 +54,31 @@ class SeparatorBudget:
     family: str
     coeff: float = 1.0
 
+    def __post_init__(self):
+        if self.family not in ("constant", "sqrt", "n_over_log2"):
+            raise ValueError(f"unknown budget family {self.family!r}")
+        if not 0 < self.coeff < math.inf:
+            raise ValueError(f"budget coefficient must be positive and finite, got {self.coeff}")
+
     def f(self, n: int) -> int:
-        if n <= 1:
-            return max(0, math.ceil(self.coeff))
-        if self.family == "constant":
+        if n <= 1 or self.family == "constant":
             return math.ceil(self.coeff)
         if self.family == "sqrt":
             return math.ceil(self.coeff * math.sqrt(n))
-        if self.family == "n_over_log2":
-            return math.ceil(self.coeff * n / math.log(n) ** 2)
-        raise ValueError(f"unknown budget family {self.family!r}")
-
-    def _term(self, i: int) -> float:
-        x = 1.5**i
-        if self.family == "constant":
-            return self.coeff / x
-        if self.family == "sqrt":
-            return self.coeff / math.sqrt(x)
-        if self.family == "n_over_log2":
-            return self.coeff / (i * math.log(1.5)) ** 2 if i > 0 else self.coeff
-        raise ValueError(f"unknown budget family {self.family!r}")
+        return math.ceil(self.coeff * n / math.log(n) ** 2)
 
     def tail_sum(self, i0: int) -> float:
         """Upper bound on sum_{i >= i0} f((3/2)^i)/(3/2)^i."""
-        if self.family in ("constant", "sqrt"):
-            # geometric with ratio 1/1.5 resp. 1/sqrt(1.5)
-            ratio = 1 / 1.5 if self.family == "constant" else 1 / math.sqrt(1.5)
-            return self._term(i0) / (1 - ratio)
+        if self.family == "constant":  # geometric with ratio 1/1.5
+            return self.coeff / 1.5**i0 / (1 - 1 / 1.5)
+        if self.family == "sqrt":  # geometric with ratio 1/sqrt(1.5)
+            return self.coeff / math.sqrt(1.5**i0) / (1 - 1 / math.sqrt(1.5))
         # quadratic decay: sum_{i>=i0} c/(i ln 1.5)^2 <= c/ln(1.5)^2 * 1/(i0-1)
         i0 = max(i0, 2)
         return self.coeff / math.log(1.5) ** 2 / (i0 - 1)
 
     def is_significantly_sublinear(self) -> bool:
-        return self.tail_sum(2) < math.inf and self.family in (
-            "constant",
-            "sqrt",
-            "n_over_log2",
-        )
+        return self.tail_sum(2) < math.inf
 
     def component_bound(self, epsilon) -> int:
         """C = ceil((3/2)^i0) for the least i0 whose tail sum drops below

@@ -20,6 +20,7 @@ from .decomposition import (
     PathDecomposition,
     TreeDecomposition,
     find_linkage,
+    require_kind,
     restore_properness,
     treewidth_decomposition,
     validate_decomposition,
@@ -149,6 +150,7 @@ def tree_to_path(G: Graph, T: TreeDecomposition) -> TransformResult:
     tree, folding each hanging subtree into the bag it hangs from.
     The achieved order is best-effort and reported, not promised.
     """
+    require_kind(T, TreeDecomposition, "tree_to_path")
     verdict = validate_decomposition(G, T)
     if not verdict.ok:
         raise AuditError(f"invalid tree decomposition: {verdict.violation}")
@@ -300,6 +302,7 @@ def make_linked(G: Graph, P: PathDecomposition) -> TransformResult:
     chosen result's linkages are then checked as certificates, not
     recomputed.  The achieved order is reported, never fabricated.
     """
+    require_kind(P, PathDecomposition, "make_linked")
     verdict = validate_decomposition(G, P)
     if not verdict.ok:
         raise AuditError(f"invalid path decomposition: {verdict.violation}")
@@ -352,10 +355,10 @@ def _make_linked_rec(
                 if not is_broken
             ]
             if runs:
-                # W's internal bags are the run's bags with the same
-                # boundaries (a vertex of an outer block and a run bag lies
-                # in the bag between them), so W is proper and each keeps
-                # the linkage found above
+                # a vertex shared by a run bag and an outer block lies in
+                # every bag between them, so W's internal bags are the run's
+                # bags with their boundaries in B, W is as proper as B, and
+                # each run bag keeps the linkage found above
                 run = max(runs, key=len)
                 cuts = range(run[0] - 1, run[-1] + 1)
                 W = coarsen_by_blocks(B, _cut_after(cuts, B.order))
@@ -396,6 +399,7 @@ def make_appearance_universal(P: PathDecomposition) -> TransformResult:
     recurse, re-add it everywhere) or merge the path into blocks as long
     as the longest remaining run; the branch keeping more order wins.
     """
+    require_kind(P, PathDecomposition, "make_appearance_universal")
     result, intervals = _appuniv_rec(P)
     verify_coarsening(P, result, intervals)
     verdict = audit_appearance_universal(result)
@@ -473,6 +477,7 @@ def audit_large_interiors(G: Graph, P: PathDecomposition) -> AuditVerdict:
 def make_large_interiors(G: Graph, P: PathDecomposition) -> TransformResult:
     """Triple-merge coarsening of a proper appearance-universal path
     decomposition; the result has large interiors."""
+    require_kind(P, PathDecomposition, "make_large_interiors")
     if not P.proper:
         raise AuditError("input decomposition is not proper")
     verdict = audit_appearance_universal(P)
@@ -591,6 +596,7 @@ def island_or_minor(
     of size m yields the minor by contracting global linkage paths.
     t, m and l must be at least 1.
     """
+    require_kind(P, PathDecomposition, "island_or_minor")
     for name, value in (("t", t), ("m", m), ("l", l)):
         if value < 1:
             raise ValueError(f"island_or_minor needs {name} >= 1, got {name}={value}")

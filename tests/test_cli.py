@@ -1,5 +1,8 @@
 import hashlib
 import json
+import shlex
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +171,24 @@ class TestPathdecomp:
         assert main(["pathdecomp", str(graph), str(pd), "largeint,extract", "2", "9", "9"]) == 2
 
     @pytest.mark.parametrize(
+        "kind, step, stage",
+        [("tree", "linked", "make_linked"), ("path", "treepath", "tree_to_path")],
+    )
+    def test_wrong_decomposition_kind_names_the_stage(self, tmp_path, capsys, kind, step, stage):
+        graph = tmp_path / "fan.txt"
+        main(["gen", "fan", "1", "6", str(graph)])
+        # the fan's path decomposition, or the same bags on a path-shaped tree
+        bags = "".join(f"bag {i} {i + 1} 6\n" for i in range(5))
+        edges = "".join(f"edge {i} {i + 1}\n" for i in range(4))
+        pd = tmp_path / "fan.dec"
+        pd.write_text(f"path 5\n{bags}" if kind == "path" else f"tree 5\n{edges}{bags}")
+        capsys.readouterr()
+        assert main(["pathdecomp", str(graph), str(pd), step]) == 1
+        want, got = ("Tree", "Path") if kind == "path" else ("Path", "Tree")
+        message = f"error: {stage} needs a {want}Decomposition, got a {got}Decomposition\n"
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize(
         "t,m,l,name",
         [("2", "3", "-1", "l"), ("2", "3", "0", "l"), ("2", "0", "1", "m"), ("0", "3", "1", "t")],
     )
@@ -231,3 +252,19 @@ class TestVertexIdsAtTheBoundary:
         capsys.readouterr()
         assert main(["verify", p3, "--island", "0,1,2,7", "--t", "1"]) == 1
         assert "vertex 7 out of range" in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_cli_block_runs_as_written(self, tmp_path, monkeypatch, capsys):
+        """Each line of the README's CLI block, in order, in an empty
+        directory: islandkit lines through main, the rest through sh."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        for line in filter(None, block.splitlines()):
+            words = shlex.split(line, comments=True)
+            if words[0] == "islandkit":
+                assert main(words[1:]) in (0, 2), line
+            else:
+                subprocess.run(line, shell=True, check=True)
+        assert "kind': 'minor'" in capsys.readouterr().out

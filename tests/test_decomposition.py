@@ -267,6 +267,10 @@ class TestFullDefinition:
             ("path 1\nbag 0 x\n", 2),
             ("# header\ntree 2\nbag 0\nbag 1\nedge 0\n", 5),
             ("path 1\nblob 3\n", 2),
+            ("tree 2\nbag 0\npath 1\nbag 1\n", 3),
+            ("path 2\nbag 0\nedge 0 1\nbag 1\n", 3),
+            ("edge 0 1\npath 2\nbag 0\nbag 1\n", 1),
+            ("# header\npath -1\n", 2),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, line):

@@ -92,6 +92,20 @@ class TestBudget:
         budget = SeparatorBudget("sqrt", 1)
         assert budget.component_bound(0.5) <= budget.component_bound(0.05)
 
+    @pytest.mark.parametrize(
+        "family, coeff, message",
+        [
+            ("bogus", 1.0, "unknown budget family 'bogus'"),
+            ("sqrt", 0, "positive and finite"),
+            ("constant", -1.5, "positive and finite"),
+            ("n_over_log2", math.nan, "positive and finite"),
+            ("sqrt", math.inf, "positive and finite"),
+        ],
+    )
+    def test_bad_budget_rejected_at_construction(self, family, coeff, message):
+        with pytest.raises(ValueError, match=message):
+            SeparatorBudget(family, coeff)
+
 
 class TestShatter:
     def test_path_within_budget(self):

@@ -21,10 +21,12 @@ from islandkit.graphs import (
     induced_subgraph,
     vset,
 )
+from islandkit.islands import GraphTooLarge
 from islandkit.separators import (
     BALANCE_DEN,
     BALANCE_NUM,
     DOUBLINGS,
+    SeparatorContractError,
     ShatterBudgetError,
     TraceNode,
     _balanced_split,
@@ -32,6 +34,7 @@ from islandkit.separators import (
     _shatter_tree,
     _truncate,
     bfs_level_separator,
+    brute_force_separator,
     shatter,
     verify_shatter,
 )
@@ -129,6 +132,64 @@ def reference_shatter(G, epsilon, oracle):
     raise ShatterBudgetError("no candidate")
 
 
+def reference_brute_force_separator(G: Graph, max_order: int | None = None) -> Separation:
+    """Minimum-order balanced separation of a tiny graph by exhaustion.
+
+    Separations with both strict sides non-empty are preferred; if none
+    exists at any order (e.g. complete graphs), empty strict sides are
+    allowed.  Ties break lexicographically on the cut set.
+    """
+    n = G.n
+    if n > 16:
+        raise GraphTooLarge(f"n={n} exceeds brute-force separator cap 16")
+    cap = n if max_order is None else min(max_order, n)
+
+    def search(require_nonempty: bool) -> Separation | None:
+        for k in range(cap + 1):
+            for cut in combinations(range(n), k):
+                rest = [v for v in range(n) if v not in set(cut)]
+                comps = components_within(G, rest)
+                sizes = [len(c) for c in comps]
+                split = _balanced_split(sizes, n)
+                if split is None:
+                    continue
+                g1, g2 = split
+                side1 = sorted(v for i in g1 for v in comps[i])
+                side2 = sorted(v for i in g2 for v in comps[i])
+                if require_nonempty and (not side1 or not side2):
+                    # try the exhaustive alternative groupings before giving up
+                    found = None
+                    for r in range(1, len(comps)):
+                        for group in combinations(range(len(comps)), r):
+                            a = sum(sizes[i] for i in group)
+                            b = sum(sizes) - a
+                            if (
+                                BALANCE_DEN * a <= BALANCE_NUM * n
+                                and BALANCE_DEN * b <= BALANCE_NUM * n
+                            ):
+                                found = group
+                                break
+                        if found:
+                            break
+                    if not found:
+                        continue
+                    side1 = sorted(v for i in found for v in comps[i])
+                    side2 = sorted(
+                        v for i in range(len(comps)) if i not in set(found) for v in comps[i]
+                    )
+                sep = Separation(vset(side1 + list(cut)), vset(side2 + list(cut)))
+                sep.validate(G)
+                return sep
+        return None
+
+    sep = search(require_nonempty=True)
+    if sep is None:
+        sep = search(require_nonempty=False)
+    if sep is None:
+        raise SeparatorContractError("no balanced separation within order cap")
+    return sep
+
+
 # ---------------------------------------------------------------------------
 # connected inputs: paths, triangulated grids, bounded degree, stars
 # ---------------------------------------------------------------------------
@@ -153,6 +214,25 @@ def connected_graphs(draw, max_n: int = 150):
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     path = [(i, i + 1) for i in range(n - 1)]
     return Graph(n, path + [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def tiny_graphs(draw):
+    """At most 8 vertices: a random edge set (often disconnected), a
+    complete graph or an edgeless one."""
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    kind = draw(st.sampled_from(["random", "complete", "edgeless"]))
+    if kind == "random":
+        pairs = [e for e in pairs if draw(st.booleans())]
+    return Graph(n, pairs if kind != "edgeless" else [])
+
+
+@given(tiny_graphs())
+@settings(max_examples=200, deadline=None)
+def test_brute_force_separator_matches_reference(G):
+    """The single fallback grouping against the search over all groupings."""
+    assert brute_force_separator(G) == reference_brute_force_separator(G)
 
 
 @given(connected_graphs())

@@ -5,6 +5,7 @@ from islandkit.decomposition import (
     Linkage,
     PathDecomposition,
     TreeDecomposition,
+    restore_properness,
     treewidth_decomposition,
     validate_decomposition,
 )
@@ -128,6 +129,31 @@ class TestTreeToPath:
         T = treewidth_decomposition(G)
         result = tree_to_path(G, T)
         assert validate_decomposition(G, result.decomposition).ok
+
+
+class TestDecompositionKind:
+    """A stage given the other kind of decomposition names itself."""
+
+    TREE = treewidth_decomposition(gen_path(4))
+    PATH = PathDecomposition(((0, 1), (1, 2), (2, 3)))
+
+    @pytest.mark.parametrize(
+        "stage, run",
+        [
+            ("tree_to_path", lambda G, T, P: tree_to_path(G, P)),
+            ("make_linked", lambda G, T, P: make_linked(G, T)),
+            ("make_appearance_universal", lambda G, T, P: make_appearance_universal(T)),
+            ("make_large_interiors", lambda G, T, P: make_large_interiors(G, T)),
+            ("island_or_minor", lambda G, T, P: island_or_minor(G, T, 2, 2, 1)),
+            ("restore_properness", lambda G, T, P: restore_properness(T)),
+        ],
+    )
+    def test_wrong_kind_is_a_named_error(self, stage, run):
+        want, got = ("PathDecomposition", "TreeDecomposition")
+        if stage == "tree_to_path":
+            want, got = got, want
+        with pytest.raises(TypeError, match=f"^{stage} needs a {want}, got a {got}$"):
+            run(gen_path(4), self.TREE, self.PATH)
 
 
 class TestCoarsening:

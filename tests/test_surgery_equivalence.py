@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from islandkit import surgery
 from islandkit.decomposition import (
     Linkage,
     PathDecomposition,
@@ -511,3 +512,35 @@ class TestSurgeryEquivalence:
     def test_fixed_inputs(self, G, P):
         for t, m, l in [(2, 3, 1), (2, 3, 3), (1, 2, 2)]:
             check_chain(G, P, t, m, l)
+
+
+def test_window_reuses_the_run_linkages(monkeypatch):
+    """The second fixed input above: its uniform-adhesion coarsening has
+    five bags, of which internal bag 2 is broken, and make_linked keeps the
+    window around bag 1, the first of the two unbroken runs.  The window's
+    internal bag keeps the linkage found when bag 1 was checked, so no bag
+    gets a second max-flow."""
+    G = Graph(11, [(0, 1), (0, 6), (1, 2), (2, 3), (2, 7), (3, 4), (3, 9), (4, 5),
+                   (5, 6), (5, 10), (6, 7), (7, 8), (8, 9), (9, 10)])
+    P = PathDecomposition(((5,), (5, 7), (5, 7, 9), (3, 5, 7, 9), (3, 4, 5, 7, 9),
+                           (3, 5, 7, 9, 10), (1, 3, 5, 7, 9), (1, 3, 5, 7, 8, 9),
+                           (1, 3, 5, 6, 7), (0, 1, 3, 6, 7), (1, 2, 3, 7)))
+    flows = []  # (bag, left boundary, right boundary) of each max-flow call
+    real_bag_linkage, real_find_linkage = surgery._bag_linkage, surgery.find_linkage
+
+    def bag_linkage(G, P, z):
+        flows.append((P.bags[z], P.boundary(z - 1, z), P.boundary(z, z + 1)))
+        return real_bag_linkage(G, P, z)
+
+    def find_linkage(*args):
+        calls.append(1)
+        return real_find_linkage(*args)
+
+    calls = []
+    monkeypatch.setattr(surgery, "_bag_linkage", bag_linkage)
+    monkeypatch.setattr(surgery, "find_linkage", find_linkage)
+    result = make_linked(G, P).decomposition
+    monkeypatch.undo()
+    assert result == reference_make_linked(G, P)
+    assert result.bags[1] == (3, 5, 7, 9, 10)  # the window, not the split
+    assert len(calls) == len(flows) == len(set(flows))
