@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -35,6 +36,12 @@ def _vertex_list(G: Graph, text: str, name: str) -> tuple[int, ...]:
                 raise ValueError(f"{name}: {token!r} is not a vertex id") from None
     checked_vset(G, ids)
     return tuple(ids)
+
+
+def _finite(name: str, value: float) -> None:
+    """Reject inf and nan given as argument `name`, by name."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _load_graph(path: str) -> tuple[Graph, str]:
@@ -115,6 +122,7 @@ def cmd_gen(args, started: float) -> int:
 
 
 def cmd_island(args, started: float) -> int:
+    _finite("alpha", args.alpha)
     G, digest = _load_graph(args.graph)
     params = {
         "graph": args.graph,
@@ -160,6 +168,7 @@ def _default_finder(bruteforce_cap: int, alpha: float):
     """Cascade: exact minimum island on small residuals, the sparse
     pipeline when the density precondition holds, otherwise the whole
     residual (always a valid island)."""
+    _finite("--alpha", alpha)
     if not alpha > 0:
         raise ValueError(f"--alpha must be > 0, got {alpha}")
 
@@ -227,6 +236,7 @@ def cmd_percolate(args, started: float) -> int:
 
 
 def cmd_shatter(args, started: float) -> int:
+    _finite("epsilon", args.epsilon)
     G, digest = _load_graph(args.graph)
     params = {
         "graph": args.graph,

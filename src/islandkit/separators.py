@@ -7,13 +7,18 @@ recurse on components, stop at size C.  The rank bookkeeping (log base
 along every root-leaf path because separations are 2/3-balanced.
 
 Cost: the BFS-level oracle answers each call with one union-find sweep
-over the levels, O((n+m)*alpha(n)), and shatter() builds its recursion
-tree once, at the smallest candidate C; every larger candidate is the
-same tree cut off at nodes of size <= C, so choosing C needs no rebuild.
+over the levels, O((n+m)*alpha(n)).  shatter() grows one recursion tree,
+largest node first, while it weighs the candidate bounds C from the
+largest down.  A node's cut depends only on its vertex set, so the tree
+at a bound C is that tree cut off at nodes of size <= C, and |X(C)| never
+grows with C; the first candidate over the epsilon budget ends the
+search.  The oracle runs on the nodes of size > C for the chosen C, plus
+at most one partly expanded candidate level below it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -251,79 +256,104 @@ def _rank(size: int) -> int:
     return math.floor(math.log(size) / math.log(1.5)) if size >= 1 else 0
 
 
-# one recursion-tree node in pre-order: (parent position or -1, size, cut)
+# one recursion-tree node in discovery order: (parent index or -1, size, cut);
+# the cut stays empty until the node is expanded
 _TreeNode = tuple[int, int, tuple[int, ...]]
 
 
+def _cut_node(
+    G: Graph, subset: tuple[int, ...], oracle: SeparatorOracle, budget: SeparatorBudget | None
+) -> tuple[int, ...]:
+    """The oracle's cut of G[subset] (a connected, sorted subset) in G's
+    numbering, after checking the separation it returned."""
+    sub, _ = induced_subgraph(G, subset)
+    sep = oracle(sub)
+    sep.validate(sub)
+    cut_local = sep.cut
+    size = len(subset)
+    node = f"the node of size {size} with smallest vertex {subset[0]}"
+    strict_left = len(set(sep.left) - set(sep.right))
+    strict_right = len(set(sep.right) - set(sep.left))
+    if BALANCE_DEN * strict_left > BALANCE_NUM * size or (
+        BALANCE_DEN * strict_right > BALANCE_NUM * size
+    ):
+        raise SeparatorContractError(f"oracle returned unbalanced separation at {node}")
+    if budget is not None and len(cut_local) > budget.f(size):
+        raise SeparatorContractError(
+            f"oracle exceeded budget f({size})={budget.f(size)} at {node}"
+        )
+    if not cut_local:
+        raise SeparatorContractError(
+            f"oracle returned an empty cut for a connected subgraph at {node}"
+        )
+    return tuple(subset[v] for v in cut_local)  # sub numbers the sorted subset 0..size-1
+
+
 def _shatter_tree(
-    G: Graph, C: int, oracle: SeparatorOracle, budget: SeparatorBudget | None
-) -> list[_TreeNode]:
-    """The recursion tree at component bound C, in pre-order: cut every
-    node of size > C with the oracle and recurse on the components left,
-    in order of minimum vertex.  Leaves carry an empty cut."""
+    G: Graph,
+    candidates: list[int],
+    allowed: Fraction,
+    oracle: SeparatorOracle,
+    budget: SeparatorBudget | None,
+) -> tuple[int, list[_TreeNode]]:
+    """Choose C among the ascending candidates, growing the recursion tree
+    only as far as that needs; returns C and the tree in discovery order.
+
+    Unexpanded nodes wait in a heap, largest first; a cut node's children
+    are the components it leaves, discovered in order of minimum vertex.
+    For each candidate from the largest down, nodes of size > C are cut
+    while the running cut total |X(C)| stays within `allowed`.  The first
+    candidate over it ends the walk, even part way through its nodes, and
+    the one before is chosen (shatter() says why this is exact).  The
+    largest candidate is expanded in full and chosen even if it fails, so
+    verification reports its X."""
     tree: list[_TreeNode] = []
-    # stack of (vertex subset, parent position); top-level components are roots
-    stack: list[tuple[tuple[int, ...], int]] = [
-        (comp, -1) for comp in reversed(components_within(G, range(G.n)))
-    ]
-    while stack:
-        subset, parent = stack.pop()
-        node_id = len(tree)
-        size = len(subset)
-        if size <= C:
-            tree.append((parent, size, ()))
-            continue
-        sub, _ = induced_subgraph(G, subset)
-        sep = oracle(sub)
-        sep.validate(sub)
-        cut_local = sep.cut
-        strict_left = len(set(sep.left) - set(sep.right))
-        strict_right = len(set(sep.right) - set(sep.left))
-        if BALANCE_DEN * strict_left > BALANCE_NUM * size or (
-            BALANCE_DEN * strict_right > BALANCE_NUM * size
-        ):
-            raise SeparatorContractError(
-                f"oracle returned unbalanced separation at node {node_id} (size {size})"
-            )
-        if budget is not None and len(cut_local) > budget.f(size):
-            raise SeparatorContractError(
-                f"oracle exceeded budget f({size})={budget.f(size)} at node {node_id}"
-            )
-        if not cut_local:
-            raise SeparatorContractError(
-                f"oracle returned an empty cut for a connected subgraph at node {node_id}"
-            )
-        cut = tuple(subset[v] for v in cut_local)  # sub numbers the sorted subset 0..size-1
-        tree.append((parent, size, cut))
-        rest = set(subset).difference(cut)
-        for comp in reversed(components_within(G, rest)):
-            stack.append((comp, node_id))
-    return tree
+    heap: list[tuple[int, int, tuple[int, ...]]] = []  # (-size, tree index, subset)
 
+    def discover(subset: tuple[int, ...], parent: int) -> None:
+        heapq.heappush(heap, (-len(subset), len(tree), subset))
+        tree.append((parent, len(subset), ()))
 
-def _cut_size(tree: list[_TreeNode], C: int) -> int:
-    """|X| of the tree cut off at nodes of size <= C: sizes strictly drop
-    along every root-leaf path and sibling cuts are disjoint, so X is the
-    disjoint union of the cuts at nodes of size > C."""
-    return sum(len(cut) for _, size, cut in tree if size > C)
+    for comp in components_within(G, range(G.n)):
+        discover(comp, -1)
+    largest = chosen = candidates[-1]
+    total = 0
+    for C in reversed(candidates):
+        while heap and -heap[0][0] > C and (total <= allowed or C == largest):
+            _, node, subset = heapq.heappop(heap)
+            cut = _cut_node(G, subset, oracle, budget)
+            tree[node] = (tree[node][0], len(subset), cut)
+            total += len(cut)
+            for comp in components_within(G, set(subset).difference(cut)):
+                discover(comp, node)
+        if total > allowed:
+            break
+        chosen = C
+    return chosen, tree
 
 
 def _truncate(tree: list[_TreeNode], C: int) -> tuple[set[int], list[TraceNode]]:
-    """X and the renumbered pre-order trace of the tree cut off at nodes of
-    size <= C (C at least the bound the tree was built with)."""
+    """X and the pre-order trace of the tree cut off at nodes of size <= C;
+    every node of size > C must be expanded.  Sizes strictly drop along
+    every root-leaf path and sibling cuts are disjoint, so X is the
+    disjoint union of the cuts at nodes of size > C."""
+    children: list[list[int]] = [[] for _ in tree]
+    roots: list[int] = []
+    for node, (parent, _, _) in enumerate(tree):
+        (children[parent] if parent != -1 else roots).append(node)
     X: set[int] = set()
     trace: list[TraceNode] = []
-    renumber: dict[int, int] = {}
-    for pos, (parent, size, cut) in enumerate(tree):
-        if parent != -1 and tree[parent][1] <= C:
-            continue  # inside a subtree that is a leaf at bound C
-        renumber[pos] = node_id = len(trace)
+    stack = [(node, -1) for node in reversed(roots)]  # (tree index, parent's trace id)
+    while stack:
+        node, parent_id = stack.pop()
+        _, size, cut = tree[node]
+        node_id = len(trace)
         if size <= C:
-            cut = ()
+            cut = ()  # a leaf at bound C, whether or not it was expanded
+        else:
+            stack.extend((child, node_id) for child in reversed(children[node]))
         X.update(cut)
-        trace.append(
-            TraceNode(node_id, renumber.get(parent, -1), size, len(cut), _rank(size))
-        )
+        trace.append(TraceNode(node_id, parent_id, size, len(cut), _rank(size)))
     return X, trace
 
 
@@ -353,9 +383,15 @@ def shatter(
     With a provable budget, C comes from the budget's tail sum (as in the
     proof) and any oracle violation is an error.  Without one, C is the
     first of c0 = max(2, ceil(sqrt n)), 2c0, 4c0, ... that meets the
-    epsilon budget.  The oracle is deterministic, so the tree for a bound
-    C' >= c0 is the c0 tree cut off at nodes of size <= C': the tree is
-    built once, every candidate is read off it, and the chosen result is
+    epsilon budget.
+
+    The oracle is deterministic, so a node's cut and children depend only
+    on its vertex set, and the tree at bound C is one tree cut off at nodes
+    of size <= C.  |X(C)|, the total cut over nodes of size > C, therefore
+    never grows with C: the candidates are weighed from the largest down,
+    expanding the largest unexpanded node first, and the first candidate
+    over budget ends the search.  Only the nodes of size > C, plus part of
+    the next smaller candidate's nodes, are ever cut.  The chosen result is
     verified once.
     """
     eps = as_fraction(epsilon)
@@ -368,9 +404,7 @@ def shatter(
     else:
         c0 = max(2, math.ceil(math.sqrt(G.n)))
         candidates = [c0 << i for i in range(DOUBLINGS)]
-    tree = _shatter_tree(G, candidates[0], oracle, budget)
-    allowed = eps * G.n
-    C = next((c for c in candidates if _cut_size(tree, c) <= allowed), candidates[-1])
+    C, tree = _shatter_tree(G, candidates, eps * G.n, oracle, budget)
     X_set, trace = _truncate(tree, C)
     try:
         verify_shatter(G, X_set, C, eps)

@@ -19,6 +19,13 @@ def k23(tmp_path):
 
 
 @pytest.fixture
+def p3(tmp_path):
+    path = tmp_path / "p3.txt"
+    assert main(["gen", "path", "3", str(path)]) == 0
+    return str(path)
+
+
+@pytest.fixture
 def grid10(tmp_path):
     path = tmp_path / "grid10.txt"
     assert main(["gen", "triangulated_grid", "10", "10", str(path)]) == 0
@@ -225,12 +232,6 @@ class TestVerify:
 
 
 class TestVertexIdsAtTheBoundary:
-    @pytest.fixture
-    def p3(self, tmp_path):
-        path = tmp_path / "p3.txt"
-        assert main(["gen", "path", "3", str(path)]) == 0
-        return str(path)
-
     def test_percolate_negative_seed_is_error(self, p3, capsys):
         capsys.readouterr()
         assert main(["--json", "percolate", p3, "-1", "1"]) == 1
@@ -252,6 +253,35 @@ class TestVertexIdsAtTheBoundary:
         capsys.readouterr()
         assert main(["verify", p3, "--island", "0,1,2,7", "--t", "1"]) == 1
         assert "vertex 7 out of range" in capsys.readouterr().err
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_color_alpha(self, tmp_path, capsys, value):
+        # 36 vertices: above the brute-force cap, so the sparse finder would run
+        path = tmp_path / "g66.txt"
+        assert main(["gen", "triangulated_grid", "6", "6", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["color", str(path), "4", "--alpha", value]) == 1
+        err = capsys.readouterr().err
+        assert f"error: --alpha must be finite, got {value}" in err
+        assert "residual" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_island_alpha(self, p3, capsys, value):
+        capsys.readouterr()
+        assert main(["island", p3, "2", "sparse", value]) == 1
+        err = capsys.readouterr().err
+        assert f"error: alpha must be finite, got {value}" in err
+        assert "Fraction" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_shatter_epsilon(self, p3, capsys, value):
+        capsys.readouterr()
+        assert main(["shatter", p3, value]) == 1
+        err = capsys.readouterr().err
+        assert f"error: epsilon must be finite, got {value}" in err
+        assert "Fraction" not in err
 
 
 class TestReadme:

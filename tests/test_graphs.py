@@ -165,6 +165,26 @@ class TestGenerators:
         assert girth(gen_path(9)) is None
 
 
+class TestValidate:
+    """Graph.validate, the check that verify reports as graph_ok, on rows
+    that Graph._from_adj takes unchecked."""
+
+    @pytest.mark.parametrize(
+        "adj, m, message",
+        [
+            (((2, 1), (0,), (0,)), 2, "row 0 not sorted/simple"),
+            (((1, 1), (0, 0)), 1, "row 0 not sorted/simple"),
+            (((0, 1), (0,)), 1, "loop at 0"),
+            (((1,), ()), 1, r"asymmetric edge \(0,1\)"),
+            (((1,), (0,)), 2, "edge count cache inconsistent"),
+        ],
+        ids=["unsorted-row", "repeated-neighbour", "loop", "asymmetric-edge", "wrong-m"],
+    )
+    def test_bad_graph_rejected(self, adj, m, message):
+        with pytest.raises(GraphValidityError, match=message):
+            Graph._from_adj(adj, m).validate()
+
+
 class TestSeparation:
     def test_cut_and_order(self):
         G = gen_path(3)

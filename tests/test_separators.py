@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from islandkit import separators
 from islandkit.graphs import (
     Graph,
+    Separation,
     gen_complete_bipartite,
     gen_cycle,
     gen_path,
@@ -25,6 +27,7 @@ from islandkit.separators import (
 )
 
 from conftest import graphs, random_bounded_degree_graph
+from test_separators_equivalence import reference_shatter
 
 
 class TestBruteForceSeparator:
@@ -187,3 +190,31 @@ class TestWorkCounts:
         # the first candidate misses the budget, so several were weighed
         assert report.C > math.ceil(math.sqrt(G.n))
         assert len(calls) == 1
+
+    def test_shatter_cuts_only_the_nodes_its_bound_reads(self, monkeypatch):
+        calls = self._count(monkeypatch, "bfs_level_separator")
+        G = gen_triangulated_grid(40, 40)  # c0 = 40; C = 1280 is the least meeting the budget
+        eps = Fraction(3, 80)
+        report = shatter(G, eps, separators.bfs_level_separator)
+        assert report.C == 1280
+        assert len(calls) <= 2  # a tree built down to c0 would make 44 calls
+        assert (report.X, report.C, report.tree_trace) == reference_shatter(
+            G, eps, bfs_level_separator
+        )
+
+    def test_shatter_at_the_smallest_bound_cuts_every_node(self, monkeypatch):
+        calls = self._count(monkeypatch, "bfs_level_separator")
+        G = gen_path(2000)
+        report = shatter(G, 0.15, separators.bfs_level_separator)
+        assert report.C == math.ceil(math.sqrt(G.n))
+        assert len(calls) == 63
+
+    def test_unbalanced_root_is_a_contract_error(self):
+        G = gen_path(100)
+
+        def lopsided(g):  # cut vertex 0 alone, everything else on one side
+            return Separation(tuple(range(g.n)), (0,))
+
+        message = r"unbalanced separation at the node of size 100 with smallest vertex 0"
+        with pytest.raises(SeparatorContractError, match=message):
+            shatter(G, 0.1, lopsided)
