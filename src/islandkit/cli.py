@@ -2,7 +2,8 @@
 JSON reports.
 
 Exit codes: 0 = success with a verified certificate, 2 = honest negative
-(documented failure such as "order too small"), 1 = error.
+(documented failure such as "order too small"), 1 = error, including a
+malformed command line.
 """
 
 from __future__ import annotations
@@ -352,9 +353,18 @@ def cmd_verify(args, started: float) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other error: argparse's own 2
+    is the exit code of an honest negative.  Subparsers share the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="islandkit",
         description="Islands, shattering, clustered coloring, percolation, "
         "and path-decomposition surgery.",

@@ -168,10 +168,13 @@ def tree_to_path(G: Graph, T: TreeDecomposition) -> TransformResult:
 # ---------------------------------------------------------------------------
 
 def _bag_linkage(
-    G: Graph, P: PathDecomposition, z: int
+    G: Graph, P: PathDecomposition, z: int, memo: dict | None = None
 ) -> Linkage | Separation:
     """Linkage (or a broken-bag separation) of the internal bag z, in
-    original vertex ids."""
+    original vertex ids.  memo maps (adjacency, A, B) of a relabelled bag
+    to its find_linkage result, so bags of one shape share one flow."""
+    if memo is None:
+        memo = {}
     left = P.boundary(z - 1, z)
     right = P.boundary(z, z + 1)
     if len(left) != len(right):
@@ -180,7 +183,10 @@ def _bag_linkage(
         )
     members = vset(P.bags[z])
     sub, relabel = induced_subgraph(G, members)
-    res = find_linkage(sub, [relabel[v] for v in left], [relabel[v] for v in right])
+    key = (sub.adj, tuple(relabel[v] for v in left), tuple(relabel[v] for v in right))
+    res = memo.get(key)
+    if res is None:
+        res = memo[key] = find_linkage(sub, key[1], key[2])
     if isinstance(res, Linkage):
         return Linkage(tuple(tuple(members[v] for v in p) for p in res.paths))
     return Separation(
@@ -193,9 +199,13 @@ def bag_linkages(
 ) -> dict[int, Linkage | Separation]:
     """The Menger result of every internal bag: a linkage from its left
     boundary to its right boundary, or a separation of order below the
-    boundary size.  This is the only max-flow call the surgery makes per
-    bag; every other use of a bag's linkage reads this result."""
-    return {z: _bag_linkage(G, P, z) for z in range(1, P.order - 1)}
+    boundary size.  find_linkage is a pure function of the relabelled bag
+    and its boundaries, so it runs once per distinct relabelled bag in
+    this call, and each bag's result is mapped back through its own
+    members; callers still check every bag's linkage as a certificate.
+    Every other use of a bag's linkage reads this result."""
+    memo: dict = {}
+    return {z: _bag_linkage(G, P, z, memo) for z in range(1, P.order - 1)}
 
 
 def broken_bags(G: Graph, P: PathDecomposition) -> dict[int, Separation]:
@@ -258,9 +268,10 @@ def _checked_linkages(
 def audit_linked(G: Graph, P: PathDecomposition) -> LinkedVerdict:
     """Every internal bag must carry a full boundary-to-boundary linkage.
 
-    From scratch: each bag's linkage is found once (bag_linkages) and then
-    checked as a certificate, never recomputed; an ok verdict carries the
-    checked linkages for its callers to use.
+    From scratch: each bag's linkage is found once (bag_linkages, one
+    max-flow per distinct relabelled bag) and then checked as a
+    certificate, never recomputed; an ok verdict carries the checked
+    linkages for its callers to use.
     """
     for z in range(1, P.order - 1):
         left = P.boundary(z - 1, z)
@@ -298,9 +309,11 @@ def make_linked(G: Graph, P: PathDecomposition) -> TransformResult:
     of small intersection when that preserves more order, otherwise make
     the adhesion uniform, split away broken bags (detected via Menger),
     or keep a window of consecutive unbroken bags.  Each bag's linkage is
-    found once, by the Menger call that decides whether it is broken; the
-    chosen result's linkages are then checked as certificates, not
-    recomputed.  The achieved order is reported, never fabricated.
+    found once, by the Menger result that decides whether it is broken
+    (bag_linkages shares one max-flow among bags of one relabelled
+    shape); the chosen result's linkages are then checked as
+    certificates, bag by bag, not recomputed.  The achieved order is
+    reported, never fabricated.
     """
     require_kind(P, PathDecomposition, "make_linked")
     verdict = validate_decomposition(G, P)

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from islandkit.graphs import Graph
+from islandkit.graphs import Graph, induced_subgraph
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -44,6 +44,19 @@ def graphs(draw, max_n: int = 8, min_n: int = 1):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, keep in zip(pairs, mask) if keep])
+
+
+def linkage_keys(G: Graph, P) -> set:
+    """The distinct (adjacency, left, right) triples of the path
+    decomposition P's internal bags, each relabelled to 0..|bag|-1: the
+    inputs of find_linkage."""
+    keys = set()
+    for z in range(1, P.order - 1):
+        sub, relabel = induced_subgraph(G, P.bags[z])
+        left = tuple(relabel[v] for v in P.boundary(z - 1, z))
+        right = tuple(relabel[v] for v in P.boundary(z, z + 1))
+        keys.add((sub.adj, left, right))
+    return keys
 
 
 def line_events(modules, fn, *args) -> int:

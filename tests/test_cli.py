@@ -284,6 +284,30 @@ class TestNonFiniteParameters:
         assert "Fraction" not in err
 
 
+class TestUsageErrors:
+    """A malformed command line exits 1, never 2, the code of an honest
+    negative."""
+
+    @pytest.mark.parametrize("value", ["abc", "-inf"])
+    def test_shatter_epsilon(self, p3, capsys, value):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["shatter", p3, value])
+        assert exc.value.code == 1
+        assert "islandkit shatter: error:" in capsys.readouterr().err
+
+    def test_unknown_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 1
+        assert "islandkit: error:" in capsys.readouterr().err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["shatter", "--help"])
+        assert exc.value.code == 0
+
+
 class TestReadme:
     def test_cli_block_runs_as_written(self, tmp_path, monkeypatch, capsys):
         """Each line of the README's CLI block, in order, in an empty

@@ -225,6 +225,20 @@ class TestValidateIndex:
         D = data.draw(decompositions(G.n))
         assert validate_decomposition(G, D) == reference_validate(G, D)
 
+    def test_interval_traces_with_an_uncovered_edge(self):
+        # every trace is an interval, and the intervals of 0 and 3 miss
+        P = PathDecomposition(((0, 1), (1, 2), (2, 3)))
+        verdict = validate_decomposition(gen_cycle(4), P)
+        assert verdict == reference_validate(gen_cycle(4), P)
+        assert verdict.violation == "edge (0,3) uncovered"
+
+    def test_uncovered_edge_reported_before_a_broken_trace(self):
+        # 0's trace skips bag 1, and no bag holds the edge (3,4)
+        P = PathDecomposition(((0, 1, 4), (1, 2), (0, 2, 3)))
+        verdict = validate_decomposition(gen_cycle(5), P)
+        assert verdict == reference_validate(gen_cycle(5), P)
+        assert verdict.violation == "edge (3,4) uncovered"
+
     def test_repeated_ids_in_a_bag_are_harmless(self):
         P = PathDecomposition(((1, 0, 1), (2, 1, 2, 2), (3, 2)))
         verdict = validate_decomposition(gen_path(4), P)
@@ -373,6 +387,7 @@ def orderings(monkeypatch):
 
 
 class TestMinFillHeap:
+    @example(gen_triangulated_grid(15, 45))  # the bench's min-fill input
     @given(MIN_FILL_INPUTS)
     @settings(max_examples=150, deadline=None)
     def test_matches_full_rescan(self, G):

@@ -1,10 +1,15 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from islandkit import surgery
 from islandkit.decomposition import (
     Linkage,
     PathDecomposition,
     TreeDecomposition,
+    find_linkage,
     restore_properness,
     treewidth_decomposition,
     validate_decomposition,
@@ -16,10 +21,14 @@ from islandkit.graphs import (
     gen_cycle,
     gen_fan,
     gen_path,
+    gen_triangulated_grid,
+    induced_subgraph,
     vset,
     verify_minor_model,
 )
 from islandkit.islands import is_island
+
+from conftest import linkage_keys, random_bounded_degree_graph
 from islandkit.surgery import (
     AuditError,
     BoundedTwResult,
@@ -402,7 +411,8 @@ class TestLinkageCertificate:
     def test_audit_rejects_forged_menger_result(self, monkeypatch, forged):
         real = surgery._bag_linkage
         monkeypatch.setattr(
-            surgery, "_bag_linkage", lambda G, P, z: forged if z == 1 else real(G, P, z)
+            surgery, "_bag_linkage",
+            lambda G, P, z, memo: forged if z == 1 else real(G, P, z, memo),
         )
         verdict = audit_linked(self.G, self.P)
         assert not verdict.ok
@@ -415,7 +425,8 @@ class TestLinkageCertificate:
         real = surgery._bag_linkage
         forged = Linkage(((2, 3), (11,)))  # bag 2 is {2, 3, 10, 11}
         monkeypatch.setattr(
-            surgery, "_bag_linkage", lambda G, P, z: forged if z == 2 else real(G, P, z)
+            surgery, "_bag_linkage",
+            lambda G, P, z, memo: forged if z == 2 else real(G, P, z, memo),
         )
         with pytest.raises(AuditError, match="failed its own audit"):
             make_linked(G, P)
@@ -426,7 +437,7 @@ class TestLinkageCertificate:
 
 
 class TestOneLinkagePerBag:
-    """Each bag's Menger linkage is found once per decomposition."""
+    """Each decomposition runs one max-flow per distinct relabelled bag."""
 
     def _count(self, monkeypatch):
         calls = []
@@ -444,7 +455,7 @@ class TestOneLinkagePerBag:
         calls = self._count(monkeypatch)
         result = make_linked(G, P)
         assert result.decomposition == P
-        assert len(calls) == P.order - 2
+        assert len(calls) == len(linkage_keys(G, P)) == 1  # every bag has one shape
 
     @pytest.mark.parametrize("kind", ["fan", "path"])
     def test_island_or_minor(self, monkeypatch, kind):
@@ -457,4 +468,78 @@ class TestOneLinkagePerBag:
         calls = self._count(monkeypatch)
         result = island_or_minor(G, li, t=2, m=3, l=2)
         assert result.kind == ("minor" if kind == "fan" else "islands")
-        assert len(calls) == li.order - 2
+        assert len(calls) == len(linkage_keys(G, li)) < li.order - 2
+
+
+def reference_bag_linkages(G: Graph, P: PathDecomposition) -> dict:
+    """One find_linkage call per internal bag, mapped back to G's ids."""
+    out = {}
+    for z in range(1, P.order - 1):
+        members = vset(P.bags[z])
+        sub, relabel = induced_subgraph(G, members)
+        res = find_linkage(
+            sub,
+            [relabel[v] for v in P.boundary(z - 1, z)],
+            [relabel[v] for v in P.boundary(z, z + 1)],
+        )
+        if isinstance(res, Linkage):
+            out[z] = Linkage(tuple(tuple(members[v] for v in p) for p in res.paths))
+        else:
+            out[z] = Separation(
+                vset(members[v] for v in res.left), vset(members[v] for v in res.right)
+            )
+    return out
+
+
+def strip_decomposition(r: int, c: int) -> PathDecomposition:
+    """Bags of two consecutive columns of gen_triangulated_grid(r, c)."""
+    return PathDecomposition(
+        tuple(vset([i * c + k for i in range(r)] + [i * c + k + 1 for i in range(r)])
+              for k in range(c - 1))
+    )
+
+
+REPEATED_SHAPES = st.one_of(
+    st.integers(4, 40).map(lambda m: (gen_fan(1, m), fan_decomposition(m, m))),
+    st.integers(4, 40).map(lambda k: (ladder(k), ladder_decomposition(k))),
+    st.builds(
+        lambda r, c: (gen_triangulated_grid(r, c), strip_decomposition(r, c)),
+        st.integers(2, 5), st.integers(4, 30),
+    ),
+)
+
+
+class TestBagLinkageMemo:
+    """bag_linkages keeps its memo for one call: it returns what one flow
+    per bag returns, runs one flow per distinct relabelled bag, and runs
+    them all again on the next call."""
+
+    def check(self, G: Graph, P: PathDecomposition) -> None:
+        expected = reference_bag_linkages(G, P)
+        for _ in range(2):
+            calls = []
+            real = surgery.find_linkage
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(surgery, "find_linkage", lambda *a: calls.append(1) or real(*a))
+                assert bag_linkages(G, P) == expected
+            assert len(calls) == len(linkage_keys(G, P))
+
+    @given(REPEATED_SHAPES)
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_shapes(self, case):
+        G, P = case
+        self.check(G, P)
+        assert len(linkage_keys(G, P)) == 1  # every internal bag has one shape
+
+    @given(st.integers(0, 2**16), st.integers(4, 60), st.integers(3, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_min_fill_decompositions(self, seed, n, d):
+        # every decomposition make_linked hands to bag_linkages
+        G = random_bounded_degree_graph(random.Random(seed), n, d)
+        seen = []
+        real = surgery.bag_linkages
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surgery, "bag_linkages", lambda G, P: seen.append(P) or real(G, P))
+            make_linked(G, tree_to_path(G, treewidth_decomposition(G)).decomposition)
+        for P in seen:
+            self.check(G, P)

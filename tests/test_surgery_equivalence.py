@@ -49,7 +49,7 @@ from islandkit.surgery import (
     verify_coarsening,
 )
 
-from conftest import graphs, random_bounded_degree_graph
+from conftest import graphs, linkage_keys, random_bounded_degree_graph
 
 
 # ---------------------------------------------------------------------------
@@ -519,18 +519,25 @@ def test_window_reuses_the_run_linkages(monkeypatch):
     five bags, of which internal bag 2 is broken, and make_linked keeps the
     window around bag 1, the first of the two unbroken runs.  The window's
     internal bag keeps the linkage found when bag 1 was checked, so no bag
-    gets a second max-flow."""
+    is looked up twice, and each bag_linkages call runs one max-flow per
+    distinct relabelled bag."""
     G = Graph(11, [(0, 1), (0, 6), (1, 2), (2, 3), (2, 7), (3, 4), (3, 9), (4, 5),
                    (5, 6), (5, 10), (6, 7), (7, 8), (8, 9), (9, 10)])
     P = PathDecomposition(((5,), (5, 7), (5, 7, 9), (3, 5, 7, 9), (3, 4, 5, 7, 9),
                            (3, 5, 7, 9, 10), (1, 3, 5, 7, 9), (1, 3, 5, 7, 8, 9),
                            (1, 3, 5, 6, 7), (0, 1, 3, 6, 7), (1, 2, 3, 7)))
-    flows = []  # (bag, left boundary, right boundary) of each max-flow call
+    flows = []  # (bag, left boundary, right boundary) of each bag looked up
+    searched = []  # the decomposition of each bag_linkages call
     real_bag_linkage, real_find_linkage = surgery._bag_linkage, surgery.find_linkage
+    real_bag_linkages = surgery.bag_linkages
 
-    def bag_linkage(G, P, z):
+    def bag_linkage(G, P, z, memo):
         flows.append((P.bags[z], P.boundary(z - 1, z), P.boundary(z, z + 1)))
-        return real_bag_linkage(G, P, z)
+        return real_bag_linkage(G, P, z, memo)
+
+    def bag_linkages(G, P):
+        searched.append(P)
+        return real_bag_linkages(G, P)
 
     def find_linkage(*args):
         calls.append(1)
@@ -538,9 +545,11 @@ def test_window_reuses_the_run_linkages(monkeypatch):
 
     calls = []
     monkeypatch.setattr(surgery, "_bag_linkage", bag_linkage)
+    monkeypatch.setattr(surgery, "bag_linkages", bag_linkages)
     monkeypatch.setattr(surgery, "find_linkage", find_linkage)
     result = make_linked(G, P).decomposition
     monkeypatch.undo()
     assert result == reference_make_linked(G, P)
     assert result.bags[1] == (3, 5, 7, 9, 10)  # the window, not the split
-    assert len(calls) == len(flows) == len(set(flows))
+    assert len(flows) == len(set(flows))
+    assert len(calls) == sum(len(linkage_keys(G, B)) for B in searched)
