@@ -233,19 +233,15 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]
     return Graph._from_adj(rows, sum(map(len, rows)) // 2), relabel
 
 
-def bfs_levels(G: Graph, root: int) -> list[tuple[int, ...]]:
-    """BFS level sets from root, within root's component."""
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in G.adj[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    depth = max(dist.values())
-    levels: list[list[int]] = [[] for _ in range(depth + 1)]
-    for v, d in dist.items():
+def bfs_levels(G: Graph, S: Iterable[int]) -> list[tuple[int, ...]]:
+    """BFS level sets of G[S] from min S, within that vertex's component."""
+    members = set(S)
+    depth = {-1: -1}  # the root maps to parent -1
+    levels: list[list[int]] = []
+    for v, p in reach(G.adj, min(members), members).items():  # visit order
+        d = depth[v] = depth[p] + 1
+        if d == len(levels):
+            levels.append([])
         levels[d].append(v)
     return [tuple(sorted(level)) for level in levels]
 

@@ -6,14 +6,18 @@ recurse on components, stop at size C.  The rank bookkeeping (log base
 3/2 of subgraph sizes) is recorded in the trace and strictly decreases
 along every root-leaf path because separations are 2/3-balanced.
 
-Cost: the BFS-level oracle answers each call with one union-find sweep
-over the levels, O((n+m)*alpha(n)).  shatter() grows one recursion tree,
-largest node first, while it weighs the candidate bounds C from the
-largest down.  A node's cut depends only on its vertex set, so the tree
-at a bound C is that tree cut off at nodes of size <= C, and |X(C)| never
-grows with C; the first candidate over the epsilon budget ends the
-search.  The oracle runs on the nodes of size > C for the chosen C, plus
-at most one partly expanded candidate level below it.
+Cost: an oracle cuts a vertex subset S of G in place, with no subgraph
+copy; the BFS-level oracle answers each call with one union-find sweep
+over the levels of G[S], O((|S|+m)*alpha(|S|)), m counting the edges at
+S.  Each expanded node then costs one components pass over S - cut,
+which both checks the cut and yields the node's children.  shatter()
+grows one recursion tree, largest node first, while it weighs the
+candidate bounds C from the largest down.  A node's cut depends only on
+its vertex set, so the tree at a bound C is that tree cut off at nodes of
+size <= C, and |X(C)| never grows with C; the first candidate over the
+epsilon budget ends the search.  The oracle runs on the nodes of size > C
+for the chosen C, plus at most one partly expanded candidate level below
+it.
 """
 
 from __future__ import annotations
@@ -23,15 +27,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterable
 
 from .graphs import (
     Graph,
     GraphValidityError,
-    Separation,
     bfs_levels,
+    checked_vset,
     components_within,
-    induced_subgraph,
     vset,
 )
 from .islands import GraphTooLarge, as_fraction
@@ -40,7 +43,7 @@ BALANCE_NUM, BALANCE_DEN = 2, 3  # the fixed 2/3 balance constant
 
 
 class SeparatorContractError(RuntimeError):
-    """An oracle returned an unbalanced or over-budget separation."""
+    """An oracle's cut left its subset, was empty, over budget or unbalanced."""
 
 
 class ShatterBudgetError(RuntimeError):
@@ -82,9 +85,6 @@ class SeparatorBudget:
         i0 = max(i0, 2)
         return self.coeff / math.log(1.5) ** 2 / (i0 - 1)
 
-    def is_significantly_sublinear(self) -> bool:
-        return self.tail_sum(2) < math.inf
-
     def component_bound(self, epsilon) -> int:
         """C = ceil((3/2)^i0) for the least i0 whose tail sum drops below
         (2/3) * epsilon, mirroring the shattering proof."""
@@ -98,100 +98,55 @@ class SeparatorBudget:
         return math.ceil(1.5**i0)
 
 
-def _balanced_split(sizes: list[int], n_total: int) -> tuple[list[int], list[int]] | None:
-    """Split component indices into two groups, each of total size at most
-    (2/3) n_total.  Exact subset-sum for few components, greedy otherwise;
-    when sum(sizes) <= n_total both find a split exactly when the largest
-    part is at most (2/3) n_total."""
-    limit = BALANCE_NUM * n_total  # compare 3*size <= 2*n
-    if BALANCE_DEN * max(sizes, default=0) > limit:
-        return None  # the group holding the largest part is too big
-    k = len(sizes)
-    if k <= 16:
-        total = sum(sizes)
-        for r in range(k + 1):
-            for group, a in zip(combinations(range(k), r), map(sum, combinations(sizes, r))):
-                if BALANCE_DEN * a <= limit and BALANCE_DEN * (total - a) <= limit:
-                    chosen = set(group)
-                    return list(group), [i for i in range(k) if i not in chosen]
-        return None
-    g1: list[int] = []
-    g2: list[int] = []
-    s1 = s2 = 0
-    for i in sorted(range(k), key=lambda i: -sizes[i]):
-        if s1 <= s2:
-            g1.append(i)
-            s1 += sizes[i]
-        else:
-            g2.append(i)
-            s2 += sizes[i]
-    if BALANCE_DEN * s1 <= limit and BALANCE_DEN * s2 <= limit:
-        return g1, g2
-    return None
+def _fits(part: int, n: int) -> bool:
+    """Whether a part of this size is 2/3-balanced in n vertices."""
+    return BALANCE_DEN * part <= BALANCE_NUM * n
 
 
-def brute_force_separator(G: Graph) -> Separation:
-    """Minimum-order balanced separation of a tiny graph by exhaustion.
+def brute_force_separator(G: Graph, S: Iterable[int]) -> tuple[int, ...]:
+    """Minimum-order balanced cut of a tiny vertex subset S by exhaustion.
 
-    Separations with both strict sides non-empty are preferred; if none
-    exists at any order (e.g. complete graphs), empty strict sides are
-    allowed.  Ties break lexicographically on the cut set.
+    Cuts that leave at least two parts are preferred; if none exists at
+    any order (e.g. complete graphs), a cut leaving fewer parts is
+    allowed.  Ties break lexicographically on the cut.
     """
-    n = G.n
+    S = checked_vset(G, S)
+    n = len(S)
     if n > 16:
-        raise GraphTooLarge(f"n={n} exceeds brute-force separator cap 16")
-
-    def search(require_nonempty: bool) -> Separation | None:
-        for k in range(n + 1):
-            for cut in combinations(range(n), k):
-                rest = [v for v in range(n) if v not in set(cut)]
-                comps = components_within(G, rest)
-                split = _balanced_split([len(c) for c in comps], n)
-                if split is None:
-                    continue
-                g1, g2 = split
-                if require_nonempty and not g1:
-                    # an empty first group means all parts fit on one side,
-                    # so any non-empty proper grouping balances too
-                    if len(comps) < 2:
-                        continue
-                    g1, g2 = [0], list(range(1, len(comps)))
-                side1 = [v for i in g1 for v in comps[i]]
-                side2 = [v for i in g2 for v in comps[i]]
-                sep = Separation(vset(side1 + list(cut)), vset(side2 + list(cut)))
-                sep.validate(G)
-                return sep
-        return None
-
-    sep = search(require_nonempty=True) or search(require_nonempty=False)
-    assert sep is not None  # cutting every vertex leaves no parts, a trivial split
-    return sep
+        raise GraphTooLarge(f"|S|={n} exceeds brute-force separator cap 16")
+    fallback = None  # cutting all of S leaves no parts, so one is always found
+    for k in range(n + 1):
+        for cut in combinations(S, k):
+            parts = components_within(G, set(S).difference(cut))
+            if _fits(max(map(len, parts), default=0), n):
+                if len(parts) >= 2:
+                    return cut
+                if fallback is None:
+                    fallback = cut
+    return fallback
 
 
-def bfs_level_separator(G: Graph) -> Separation:
-    """Heuristic: remove the smallest BFS level (root 0) whose removal
-    leaves components that split into two 2/3-balanced groups; ties go to
-    the level nearest the root.
+def bfs_level_separator(G: Graph, S: Iterable[int]) -> tuple[int, ...]:
+    """Heuristic: cut the smallest BFS level of G[S] (root min S) whose
+    removal leaves no part larger than 2|S|/3; ties go to the level
+    nearest the root.
 
-    Parts summing to at most n split into two groups of at most 2n/3 each
-    exactly when the largest part is at most 2n/3 (a part of at least n/3
-    goes alone; smaller parts fill one group up to n/3), so a level is
-    decided by its largest component alone.  One union-find sweep adds the
-    levels from the deepest to the root, O((n+m)*alpha(n)) in all.  Just
-    before level i is added the structure holds G[levels > i], whose
-    components each touch level i+1; the only other component of
-    G - level(i) is G[levels < i], which contains vertex 0.  The split
-    itself is computed once, for the winning level.
+    One union-find sweep adds the levels from the deepest to the root,
+    O((|S|+m)*alpha(|S|)) in all, m counting the edges at S.  Just before
+    level i is added the structure holds G[levels > i], whose components
+    each touch level i+1; the only other part of G[S] - level(i) is
+    G[levels < i], which contains the root.
     """
-    if G.n == 0:
-        raise GraphValidityError("empty graph")
-    levels = bfs_levels(G, 0)
-    n = G.n
+    S = checked_vset(G, S)
+    if not S:
+        raise GraphValidityError("empty vertex set")
+    levels = bfs_levels(G, S)
+    n = len(S)
     if sum(len(l) for l in levels) != n:
-        raise GraphValidityError("bfs_level_separator requires a connected graph")
-    parent = list(range(n))
-    size = [1] * n
-    added = [False] * n
+        raise GraphValidityError("bfs_level_separator requires a connected vertex set")
+    parent = {v: v for v in S}
+    size = dict.fromkeys(S, 1)
+    added: set[int] = set()
 
     def find(v: int) -> int:
         root = v
@@ -201,21 +156,19 @@ def bfs_level_separator(G: Graph) -> Separation:
             parent[v], v = root, parent[v]
         return root
 
-    limit = BALANCE_NUM * n  # a part of size s fits when 3*s <= 2*n
     best: tuple[int, int] | None = None  # (|level|, index)
     deeper = 0  # vertices in levels deeper than idx
     for idx in range(len(levels) - 1, -1, -1):
         level = levels[idx]
         above = n - deeper - len(level)
-        if (best is None or len(level) <= best[0]) and BALANCE_DEN * above <= limit:
+        if (best is None or len(level) <= best[0]) and _fits(above, n):
             nxt = levels[idx + 1] if idx + 1 < len(levels) else ()
-            if BALANCE_DEN * max((size[find(v)] for v in nxt), default=0) <= limit:
+            if _fits(max((size[find(v)] for v in nxt), default=0), n):
                 best = (len(level), idx)
-        for v in level:
-            added[v] = True
+        added.update(level)
         for v in level:
             for u in G.adj[v]:
-                if added[u]:
+                if u in added:
                     ru, rv = find(u), find(v)
                     if ru != rv:
                         if size[ru] < size[rv]:
@@ -224,13 +177,7 @@ def bfs_level_separator(G: Graph) -> Separation:
                         size[ru] += size[rv]
         deeper += len(level)
     assert best is not None  # the first level taking the prefix past n/3 balances
-    level = levels[best[1]]
-    inlevel = set(level)
-    comps = components_within(G, [v for v in range(n) if v not in inlevel])
-    g1, g2 = _balanced_split([len(c) for c in comps], n)  # the largest part fits
-    side1 = [v for i in g1 for v in comps[i]]
-    side2 = [v for i in g2 for v in comps[i]]
-    return Separation(vset(side1 + list(level)), vset(side2 + list(level)))
+    return levels[best[1]]
 
 
 @dataclass(frozen=True)
@@ -249,7 +196,10 @@ class ShatterReport:
     tree_trace: tuple[TraceNode, ...]
 
 
-SeparatorOracle = Callable[[Graph], Separation]
+# oracle(G, S) for a connected, sorted vertex subset S returns a cut in
+# G's ids: a non-empty set of vertices of S leaving no part of G[S] - cut
+# with more than 2|S|/3 vertices
+SeparatorOracle = Callable[[Graph, tuple[int, ...]], Iterable[int]]
 
 
 def _rank(size: int) -> int:
@@ -263,30 +213,32 @@ _TreeNode = tuple[int, int, tuple[int, ...]]
 
 def _cut_node(
     G: Graph, subset: tuple[int, ...], oracle: SeparatorOracle, budget: SeparatorBudget | None
-) -> tuple[int, ...]:
-    """The oracle's cut of G[subset] (a connected, sorted subset) in G's
-    numbering, after checking the separation it returned."""
-    sub, _ = induced_subgraph(G, subset)
-    sep = oracle(sub)
-    sep.validate(sub)
-    cut_local = sep.cut
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The oracle's cut of a connected, sorted subset and the parts of
+    G[subset] - cut, after checking the cut on those parts: it lies in the
+    subset, is non-empty and within budget, and no part exceeds 2/3 of the
+    subset.  Parts summing to at most n split into two groups of at most
+    2n/3 each exactly when the largest part is at most 2n/3 (a part of at
+    least n/3 goes alone; smaller parts fill one group up to n/3), so that
+    is the whole balance condition."""
+    cut = vset(oracle(G, subset))
+    rest = set(subset).difference(cut)
     size = len(subset)
     node = f"the node of size {size} with smallest vertex {subset[0]}"
-    strict_left = len(set(sep.left) - set(sep.right))
-    strict_right = len(set(sep.right) - set(sep.left))
-    if BALANCE_DEN * strict_left > BALANCE_NUM * size or (
-        BALANCE_DEN * strict_right > BALANCE_NUM * size
-    ):
-        raise SeparatorContractError(f"oracle returned unbalanced separation at {node}")
-    if budget is not None and len(cut_local) > budget.f(size):
-        raise SeparatorContractError(
-            f"oracle exceeded budget f({size})={budget.f(size)} at {node}"
-        )
-    if not cut_local:
+    if len(rest) + len(cut) != size:
+        raise SeparatorContractError(f"oracle cut vertices outside {node}")
+    if not cut:
         raise SeparatorContractError(
             f"oracle returned an empty cut for a connected subgraph at {node}"
         )
-    return tuple(subset[v] for v in cut_local)  # sub numbers the sorted subset 0..size-1
+    if budget is not None and len(cut) > budget.f(size):
+        raise SeparatorContractError(
+            f"oracle exceeded budget f({size})={budget.f(size)} at {node}"
+        )
+    parts = components_within(G, rest)
+    if not _fits(max(map(len, parts), default=0), size):
+        raise SeparatorContractError(f"oracle returned unbalanced separation at {node}")
+    return cut, parts
 
 
 def _shatter_tree(
@@ -321,10 +273,10 @@ def _shatter_tree(
     for C in reversed(candidates):
         while heap and -heap[0][0] > C and (total <= allowed or C == largest):
             _, node, subset = heapq.heappop(heap)
-            cut = _cut_node(G, subset, oracle, budget)
+            cut, parts = _cut_node(G, subset, oracle, budget)
             tree[node] = (tree[node][0], len(subset), cut)
             total += len(cut)
-            for comp in components_within(G, set(subset).difference(cut)):
+            for comp in parts:
                 discover(comp, node)
         if total > allowed:
             break
@@ -360,10 +312,10 @@ def _truncate(tree: list[_TreeNode], C: int) -> tuple[set[int], list[TraceNode]]
 def verify_shatter(G: Graph, X, C: int, epsilon) -> None:
     """Re-check the shatter post-conditions from scratch."""
     eps = as_fraction(epsilon)
-    Xs = set(X)
+    Xs = checked_vset(G, X)
     if Fraction(len(Xs)) > eps * G.n:
         raise ShatterBudgetError(f"|X|={len(Xs)} exceeds epsilon*n={eps * G.n}")
-    for comp in components_within(G, set(range(G.n)) - Xs):
+    for comp in components_within(G, set(range(G.n)).difference(Xs)):
         if len(comp) > C:
             raise ShatterBudgetError(f"component of size {len(comp)} exceeds C={C}")
 

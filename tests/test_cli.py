@@ -108,6 +108,18 @@ class TestColorPercolateShatter:
         assert first["payload"] == second["payload"]
         assert first["input_digest"] == second["input_digest"]
 
+    def test_shatter_brute(self, tmp_path, grid10, capsys):
+        c12 = str(tmp_path / "c12.txt")
+        assert main(["gen", "cycle", "12", c12]) == 0
+        capsys.readouterr()
+        assert main(["--json", "shatter", c12, "0.25", "brute"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["parameters"]["oracle"] == "brute"
+        # the lexicographically first balanced 2-cut of C12 leaves parts of 2 and 8
+        assert report["payload"]["X"] == [0, 3] and report["payload"]["C"] == 8
+        assert main(["shatter", grid10, "0.2", "brute"]) == 1
+        assert "error: |S|=100 exceeds brute-force separator cap 16" in capsys.readouterr().err
+
     def test_json_is_one_line(self, grid10, capsys):
         capsys.readouterr()
         assert main(["--json", "percolate", grid10, "0,1", "2"]) == 0

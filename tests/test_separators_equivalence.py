@@ -1,12 +1,14 @@
-"""The union-find separator sweep, the cheaper exact split and the
+"""The union-find separator sweep, the subset oracles and the
 build-once shatter tree against reference copies of the per-level,
-per-candidate code they replace.  Every result must be identical."""
+per-candidate, per-subgraph-copy code they replace.  Every result must
+be identical."""
 
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +31,6 @@ from islandkit.separators import (
     SeparatorContractError,
     ShatterBudgetError,
     TraceNode,
-    _balanced_split,
     _rank,
     _shatter_tree,
     _truncate,
@@ -72,7 +73,7 @@ def reference_balanced_split(sizes, n_total):
 
 
 def reference_bfs_level_separator(G):
-    levels = bfs_levels(G, 0)
+    levels = bfs_levels(G, range(G.n))
     best = None
     for idx, level in enumerate(levels):
         rest = [v for v in range(G.n) if v not in set(level)]
@@ -150,7 +151,7 @@ def reference_brute_force_separator(G: Graph, max_order: int | None = None) -> S
                 rest = [v for v in range(n) if v not in set(cut)]
                 comps = components_within(G, rest)
                 sizes = [len(c) for c in comps]
-                split = _balanced_split(sizes, n)
+                split = reference_balanced_split(sizes, n)
                 if split is None:
                     continue
                 g1, g2 = split
@@ -232,30 +233,54 @@ def tiny_graphs(draw):
 @settings(max_examples=200, deadline=None)
 def test_brute_force_separator_matches_reference(G):
     """The single fallback grouping against the search over all groupings."""
-    assert brute_force_separator(G) == reference_brute_force_separator(G)
+    assert brute_force_separator(G, range(G.n)) == reference_brute_force_separator(G).cut
 
 
 @given(connected_graphs())
 @settings(max_examples=150, deadline=None)
 def test_bfs_level_separator_matches_reference(G):
-    assert bfs_level_separator(G) == reference_bfs_level_separator(G)
+    assert bfs_level_separator(G, range(G.n)) == reference_bfs_level_separator(G).cut
 
 
-@given(
-    st.lists(st.integers(0, 60), max_size=16),
-    st.integers(0, 40),
+@st.composite
+def connected_subsets(draw, max_size: int):
+    """A random graph, often disconnected, and a connected vertex subset
+    of it with at most max_size vertices, grown from a random vertex."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        G = random_bounded_degree_graph(rng, n, draw(st.integers(3, 5)))
+    else:
+        p = draw(st.sampled_from([0.05, 0.1, 0.3, 0.6]))
+        G = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+    S = {rng.randrange(n)}
+    frontier = {u for v in S for u in G.adj[v]}
+    target = draw(st.integers(1, max_size))
+    while frontier and len(S) < target:
+        v = rng.choice(sorted(frontier))
+        S.add(v)
+        frontier.update(G.adj[v])
+        frontier.difference_update(S)
+    return G, vset(S)
+
+
+@pytest.mark.parametrize(
+    "oracle, reference, max_size",
+    [
+        (bfs_level_separator, reference_bfs_level_separator, 60),
+        (brute_force_separator, reference_brute_force_separator, 8),
+    ],
+    ids=["bfs", "brute"],
 )
-@settings(max_examples=300, deadline=None)
-def test_balanced_split_matches_reference(sizes, extra):
-    n_total = sum(sizes) + extra
-    assert _balanced_split(sizes, n_total) == reference_balanced_split(sizes, n_total)
-
-
-@given(st.lists(st.integers(0, 60), min_size=17, max_size=40), st.integers(0, 40))
-@settings(max_examples=50, deadline=None)
-def test_greedy_split_matches_reference(sizes, extra):
-    n_total = sum(sizes) + extra
-    assert _balanced_split(sizes, n_total) == reference_balanced_split(sizes, n_total)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_subset_cut_matches_reference_on_the_copy(oracle, reference, max_size, data):
+    """An oracle's cut of (G, S) is the reference oracle's cut of the
+    relabelled copy G[S], mapped back to G's ids."""
+    G, S = data.draw(connected_subsets(max_size))
+    sub, relabel = induced_subgraph(G, S)
+    back = {new: old for old, new in relabel.items()}
+    assert tuple(oracle(G, S)) == tuple(back[v] for v in reference(sub).cut)
 
 
 @given(connected_graphs(max_n=200))
