@@ -9,6 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -18,6 +19,17 @@ class GraphParseError(ValueError):
 
 class GraphValidityError(ValueError):
     """Input violates simplicity (loop, duplicate edge, bad vertex id)."""
+
+
+class GraphTooLarge(ValueError):
+    """Brute-force cap exceeded."""
+
+
+def as_fraction(x) -> Fraction:
+    """Exact rational from int/Fraction/float (floats via their repr)."""
+    if isinstance(x, float):
+        return Fraction(str(x))
+    return Fraction(x)
 
 
 def vset(members: Iterable[int]) -> tuple[int, ...]:
@@ -30,10 +42,16 @@ def checked_vset(G: "Graph", members: Iterable[int]) -> tuple[int, ...]:
     outside range(G.n); negative ids never reach Python's negative
     indexing."""
     out = vset(members)
-    if out and (out[0] < 0 or out[-1] >= G.n):
-        bad = out[0] if out[0] < 0 else out[-1]
-        raise GraphValidityError(f"vertex {bad} out of range for n={G.n}")
+    _check_ends(G, out)
     return out
+
+
+def _check_ends(G: "Graph", ordered: Sequence[int]) -> None:
+    """Raise GraphValidityError naming the first id of the ascending
+    sequence outside range(G.n), checking only its two ends."""
+    if ordered and (ordered[0] < 0 or ordered[-1] >= G.n):
+        bad = ordered[0] if ordered[0] < 0 else ordered[-1]
+        raise GraphValidityError(f"vertex {bad} out of range for n={G.n}")
 
 
 class Graph:
@@ -208,11 +226,14 @@ def reach(
 
 
 def components_within(G: Graph, S: Iterable[int]) -> list[tuple[int, ...]]:
-    """Connected components of G[S], without building the induced subgraph."""
+    """Connected components of G[S], without building the induced subgraph;
+    an id outside range(G.n) is a GraphValidityError that names it."""
     unvisited = set(S)
+    starts = sorted(unvisited)
+    _check_ends(G, starts)
     return [
         tuple(sorted(reach(G.adj, s, unvisited)))
-        for s in sorted(unvisited)
+        for s in starts
         if s in unvisited
     ]
 
@@ -234,11 +255,14 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]
 
 
 def bfs_levels(G: Graph, S: Iterable[int]) -> list[tuple[int, ...]]:
-    """BFS level sets of G[S] from min S, within that vertex's component."""
+    """BFS level sets of G[S] from min S, within that vertex's component;
+    an id outside range(G.n) is a GraphValidityError that names it."""
     members = set(S)
+    root = min(members)
+    _check_ends(G, (root, max(members)))
     depth = {-1: -1}  # the root maps to parent -1
     levels: list[list[int]] = []
-    for v, p in reach(G.adj, min(members), members).items():  # visit order
+    for v, p in reach(G.adj, root, members).items():  # visit order
         d = depth[v] = depth[p] + 1
         if d == len(levels):
             levels.append([])

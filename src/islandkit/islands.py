@@ -14,6 +14,12 @@ t-enclave leaves a non-empty island, because each removal keeps the
 enclave inequality.  By duality, V \\ closure(A) is the
 maximal t-island inside V \\ A, so `percolation.percolate` is the same
 peel run on the complement of the seeds.
+
+The sparse extraction (`find_island_sparse`, `disjoint_islands`) applies
+when |E| < (t - alpha)|V|: it shatters G with the BFS-level oracle within
+epsilon = alpha/(2t), then shrinks t-enclave components of G - X to
+islands of at most C vertices, C being the bound the shattering achieved,
+which each call returns.
 """
 
 from __future__ import annotations
@@ -21,24 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .graphs import Graph, checked_vset, components_within
+from .graphs import Graph, GraphTooLarge, as_fraction, checked_vset, components_within
+from .separators import ShatterReport, bfs_level_separator, shatter
 
 
 class NotAnEnclave(ValueError):
     """The input set fails the enclave inequality e(A) < t|A|."""
-
-
-class GraphTooLarge(ValueError):
-    """Brute-force cap exceeded."""
-
-
-def as_fraction(x) -> Fraction:
-    """Exact rational from int/Fraction/float (floats via their repr)."""
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -57,24 +53,20 @@ class IslandVerdict:
 
 
 @dataclass(frozen=True)
-class EnclaveCertificate:
-    members: tuple[int, ...]
-
-
-@dataclass
 class SparseIslandParams:
-    """Parameters of the sparse-graph island extraction.
+    """Parameters of the sparse-graph island extraction: t and alpha only,
+    frozen, so one object serves any number of graphs.
 
-    epsilon = alpha/(2t) is the separator budget handed to the shatterer;
-    delta is recomputed from the achieved component bound C after the run.
+    epsilon = alpha/(2t) is the budget handed to `shatter`.  The component
+    bound C that shattering achieves belongs to each run and is returned
+    by it; delta(C) is the count promise computed from that C.
     """
 
     t: int
     alpha: Fraction
-    C: int | None = None
 
     def __post_init__(self):
-        self.alpha = as_fraction(self.alpha)
+        object.__setattr__(self, "alpha", as_fraction(self.alpha))
         if self.t < 1 or self.alpha <= 0:
             raise ValueError("need t >= 1 and alpha > 0")
 
@@ -114,14 +106,6 @@ def incident_edge_count(G: Graph, A: Iterable[int]) -> int:
             if u not in inset or u > v:
                 count += 1
     return count
-
-
-def enclave_certificate(G: Graph, A: Iterable[int], t: int) -> EnclaveCertificate:
-    members = checked_vset(G, A)
-    e = incident_edge_count(G, members)
-    if not members or e >= t * len(members):
-        raise NotAnEnclave(f"e(A)={e} >= t|A|={t * len(members)}")
-    return EnclaveCertificate(members)
 
 
 def is_enclave(G: Graph, A: Iterable[int], t: int) -> bool:
@@ -165,8 +149,12 @@ def peel(
 
 
 def shrink_enclave_to_island(G: Graph, A: Iterable[int], t: int) -> IslandCertificate:
-    """Shrink a t-enclave to the maximal t-island inside it by `peel`."""
-    members = enclave_certificate(G, A, t).members
+    """Shrink a t-enclave to the maximal t-island inside it by `peel`;
+    a set failing e(A) < t|A| is NotAnEnclave."""
+    members = checked_vset(G, A)
+    e = incident_edge_count(G, members)
+    if not members or e >= t * len(members):
+        raise NotAnEnclave(f"e(A)={e} >= t|A|={t * len(members)}")
     verdict = is_island(G, peel(G, members, t)[1], t)
     assert verdict.ok and verdict.certificate is not None
     return verdict.certificate
@@ -201,11 +189,6 @@ def density_below(G: Graph, t: int, alpha) -> bool:
     return Fraction(G.m) < (t - as_fraction(alpha)) * G.n
 
 
-# A shatterer takes (G, epsilon) and returns an object with attributes
-# X (vertex tuple), C (achieved component bound); see separators.ShatterReport.
-Shatterer = Callable[[Graph, Fraction], "object"]
-
-
 class DensityPreconditionError(ValueError):
     """|E| < (t - alpha)|V| fails; the sparse extraction does not apply."""
 
@@ -220,13 +203,13 @@ class DisjointIslandsReport:
 
 
 def _enclave_components(
-    G: Graph, params: SparseIslandParams, shatterer: Shatterer
-) -> tuple[list[tuple[int, ...]], "object"]:
+    G: Graph, params: SparseIslandParams
+) -> tuple[list[tuple[int, ...]], ShatterReport]:
     if not density_below(G, params.t, params.alpha):
         raise DensityPreconditionError(
             f"|E|={G.m} is not below (t - alpha)|V| for t={params.t}, alpha={params.alpha}"
         )
-    report = shatterer(G, params.epsilon)
+    report = shatter(G, params.epsilon, bfs_level_separator)
     rest = set(range(G.n)) - set(report.X)
     comps = components_within(G, rest)
     enclaves = [K for K in comps if is_enclave(G, K, params.t)]
@@ -234,37 +217,35 @@ def _enclave_components(
 
 
 def find_island_sparse(
-    G: Graph, params: SparseIslandParams, shatterer: Shatterer
-) -> IslandCertificate:
-    """Extract a certified t-island of size <= C from a sparse graph.
+    G: Graph, params: SparseIslandParams
+) -> tuple[IslandCertificate, int]:
+    """Extract a certified t-island of size <= C from a sparse graph and
+    return it with C.
 
-    Shatters the graph within the epsilon = alpha/(2t) budget, scans the
-    components of G - X in order of minimum vertex id, and shrinks the
-    first t-enclave component to an island.
+    Shatters the graph with the BFS-level oracle within the
+    epsilon = alpha/(2t) budget, scans the components of G - X in order of
+    minimum vertex id, and shrinks the first t-enclave component to an
+    island.  C is the bound that shattering achieved on this graph.
     """
-    enclaves, report = _enclave_components(G, params, shatterer)
+    enclaves, report = _enclave_components(G, params)
     if not enclaves:
         raise AssertionError(
-            "no enclave component; shatterer failed its contract "
+            "no enclave component; shatter failed its contract "
             f"(|X|={len(report.X)}, C={report.C})"
         )
     cert = shrink_enclave_to_island(G, enclaves[0], params.t)
-    params.C = report.C
     assert len(cert.members) <= report.C
-    return cert
+    return cert, report.C
 
 
-def disjoint_islands(
-    G: Graph, params: SparseIslandParams, shatterer: Shatterer
-) -> DisjointIslandsReport:
+def disjoint_islands(G: Graph, params: SparseIslandParams) -> DisjointIslandsReport:
     """All enclave components of G - X shrunk to pairwise-disjoint islands.
 
     delta is recomputed from the achieved component bound, so the count
     promise is ceil(alpha/(2tC_achieved) * n).
     """
-    enclaves, report = _enclave_components(G, params, shatterer)
+    enclaves, report = _enclave_components(G, params)
     certs = tuple(shrink_enclave_to_island(G, K, params.t) for K in enclaves)
-    params.C = report.C
     delta = params.delta(report.C)
     n = G.n
     required = -((-delta.numerator * n) // delta.denominator)  # ceil(delta*n)

@@ -15,14 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph, checked_vset, vset
-from .islands import (
-    GraphTooLarge,
-    IslandCertificate,
-    as_fraction,
-    is_island,
-    peel,
-)
+from .graphs import Graph, GraphTooLarge, as_fraction, checked_vset, vset
+from .islands import IslandCertificate, is_island, peel
 
 
 @dataclass(frozen=True)

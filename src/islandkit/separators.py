@@ -31,13 +31,14 @@ from typing import Callable, Iterable
 
 from .graphs import (
     Graph,
+    GraphTooLarge,
     GraphValidityError,
+    as_fraction,
     bfs_levels,
     checked_vset,
     components_within,
     vset,
 )
-from .islands import GraphTooLarge, as_fraction
 
 BALANCE_NUM, BALANCE_DEN = 2, 3  # the fixed 2/3 balance constant
 
@@ -366,8 +367,3 @@ def shatter(
         ) from None
     return ShatterReport(tuple(sorted(X_set)), C, tuple(trace))
 
-
-def default_shatterer(G: Graph, epsilon) -> ShatterReport:
-    """BFS-level oracle with adaptive component bound; the standard choice
-    for the sparse island extraction."""
-    return shatter(G, epsilon, bfs_level_separator)

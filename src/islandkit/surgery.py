@@ -208,14 +208,6 @@ def bag_linkages(
     return {z: _bag_linkage(G, P, z, memo) for z in range(1, P.order - 1)}
 
 
-def broken_bags(G: Graph, P: PathDecomposition) -> dict[int, Separation]:
-    """Internal bags admitting a separation of order below the boundary
-    size (Menger's obstruction to a linkage)."""
-    return {
-        z: res for z, res in bag_linkages(G, P).items() if isinstance(res, Separation)
-    }
-
-
 def _linkage_violation(
     G: Graph, P: PathDecomposition, z: int, res: Linkage | Separation
 ) -> str | None:
@@ -811,7 +803,6 @@ def bounded_tw_island(
     m: int,
     l: int | None = None,
     schedule: ConstantSchedule | None = None,
-    decomposition: TreeDecomposition | None = None,
     _depth: int = 0,
 ) -> BoundedTwResult:
     """Full pipeline on a graph of treewidth < k+1: tree decomposition ->
@@ -826,8 +817,7 @@ def bounded_tw_island(
     S = set(S)
     if l is None:
         l = 4 * k + 6
-    if decomposition is None:
-        decomposition = treewidth_decomposition(G, k)
+    decomposition = treewidth_decomposition(G, k)
     if decomposition.width > k:
         raise AuditError(
             f"decomposition width {decomposition.width} exceeds k={k}"

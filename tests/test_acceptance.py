@@ -32,7 +32,7 @@ from islandkit.islands import (
     min_island_size_bruteforce,
 )
 from islandkit.percolation import duality_check
-from islandkit.separators import default_shatterer, shatter, bfs_level_separator, verify_shatter
+from islandkit.separators import shatter, bfs_level_separator, verify_shatter
 from islandkit.surgery import (
     island_or_minor,
     make_appearance_universal,
@@ -47,7 +47,7 @@ from conftest import random_bounded_degree_graph, random_graph
 def sparse_finder(alpha):
     def finder(g, t):
         params = SparseIslandParams(t=t, alpha=alpha)
-        return find_island_sparse(g, params, default_shatterer).members
+        return find_island_sparse(g, params)[0].members
 
     return finder
 
@@ -69,9 +69,9 @@ def test_criterion_02_surface_bound_upper_half():
     for dim in (10, 20, 30, 40, 50):
         G = gen_triangulated_grid(dim, dim)
         params = SparseIslandParams(t=4, alpha=0.3)
-        cert = find_island_sparse(G, params, default_shatterer)
+        cert, C = find_island_sparse(G, params)
         assert is_island(G, cert.members, 4).ok
-        assert len(cert.members) <= params.C
+        assert len(cert.members) <= C
     G = gen_triangulated_grid(50, 50)
     col, trace = greedy_clustered_coloring(G, 4, sparse_finder(0.3))
     assert verify_coloring(G, col, col.achieved_clustering).ok
@@ -83,9 +83,9 @@ def test_criterion_03_girth_bound():
         G = gen_hex_grid(r, c)
         assert G.n <= 1000
         params = SparseIslandParams(t=2, alpha=0.25)
-        cert = find_island_sparse(G, params, default_shatterer)
+        cert, C = find_island_sparse(G, params)
         assert is_island(G, cert.members, 2).ok
-        assert len(cert.members) <= params.C
+        assert len(cert.members) <= C
         col, trace = greedy_clustered_coloring(G, 2, sparse_finder(0.25))
         assert verify_coloring(G, col, trace.max_island_size).ok
 
@@ -143,7 +143,7 @@ def test_criterion_08_disjoint_islands_count():
     for dim in (15, 25, 40):
         G = gen_triangulated_grid(dim, dim)
         params = SparseIslandParams(t=4, alpha=0.3)
-        report = disjoint_islands(G, params, default_shatterer)
+        report = disjoint_islands(G, params)
         assert len(report.islands) >= report.required
         seen = set()
         for cert in report.islands:

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from islandkit.graphs import (
@@ -10,6 +10,8 @@ from islandkit.graphs import (
     GraphValidityError,
     MinorModel,
     Separation,
+    bfs_levels,
+    components_within,
     gen_complete_bipartite,
     gen_cycle,
     gen_fan,
@@ -74,6 +76,31 @@ class TestParsing:
         assert H.n == G.n and H.adj == G.adj
         assert H.m == G.m
         H.validate()
+
+    @given(graphs(max_n=8), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_shuffled_edge_list_parses_to_the_graph(self, G, header, data):
+        # parse_graph builds rows that Graph.validate accepts, so loading a
+        # file need not re-validate it
+        edges = data.draw(st.permutations(list(G.edges())))
+        flips = data.draw(st.lists(st.booleans(), min_size=G.m, max_size=G.m))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+        lines = [f"{u} {v}" for u, v in edges]
+        if header:
+            lines.insert(0, f"{G.n} {G.m}")
+            n = G.n
+        else:
+            n = 1 + max((max(e) for e in edges), default=-1)
+            # a first edge that reads as a consistent header is taken as one
+            assume(not edges or not (
+                edges[0][0] >= 1
+                and edges[0][1] == len(edges) - 1
+                and all(max(e) < edges[0][0] for e in edges[1:])
+            ))
+        H = parse_graph("\n".join(lines) + "\n")
+        H.validate()
+        expected = Graph(n, edges)
+        assert (H.n, H.adj, H.m) == (expected.n, expected.adj, expected.m)
 
 
 def _reference_induced(G, S):
@@ -166,7 +193,7 @@ class TestGenerators:
 
 
 class TestValidate:
-    """Graph.validate, the check that verify reports as graph_ok, on rows
+    """Graph.validate, the oracle the parser is tested against, on rows
     that Graph._from_adj takes unchecked."""
 
     @pytest.mark.parametrize(
@@ -231,3 +258,18 @@ class TestVertexIds:
     def test_out_of_range_id_is_named(self, bad):
         with pytest.raises(GraphValidityError, match=f"vertex {bad} out of range"):
             checked_vset(gen_path(3), [0, bad])
+
+    @pytest.mark.parametrize(
+        "helper, ids, bad",
+        [
+            (components_within, [-1, 2], -1),
+            (bfs_levels, [-1, 0], -1),
+            (components_within, [0, 3], 3),
+            (bfs_levels, [0, 3], 3),
+        ],
+        ids=["components-negative", "bfs-negative", "components-n", "bfs-n"],
+    )
+    def test_traversals_name_a_bad_id(self, helper, ids, bad):
+        # -1 once indexed G.adj from the end and came back as a vertex
+        with pytest.raises(GraphValidityError, match=f"vertex {bad} out of range"):
+            helper(gen_path(3), ids)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from islandkit.islands import (
     SparseIslandParams,
     density_below,
     disjoint_islands,
-    enclave_certificate,
     find_island_sparse,
     incident_edge_count,
     is_enclave,
@@ -26,7 +26,7 @@ from islandkit.islands import (
     min_island_size_bruteforce,
     shrink_enclave_to_island,
 )
-from islandkit.separators import default_shatterer
+from islandkit.separators import bfs_level_separator, shatter
 
 from conftest import graphs, random_graph
 
@@ -86,8 +86,7 @@ class TestEnclaves:
     def test_shrink_yields_island_subset(self, G):
         t = 2
         A = tuple(G.vertices())
-        cert_e = enclave_certificate(G, A, t) if is_enclave(G, A, t) else None
-        if cert_e is None:
+        if not is_enclave(G, A, t):
             return
         cert = shrink_enclave_to_island(G, A, t)
         assert set(cert.members) <= set(A)
@@ -99,10 +98,10 @@ class TestEnclaves:
         with pytest.raises(GraphValidityError, match="vertex -1"):
             incident_edge_count(gen_path(3), [-1])
 
-    def test_negative_id_rejected_by_enclave_certificate(self):
-        # -1 once appeared in the certificate's set
+    def test_negative_id_rejected_by_shrink_enclave_to_island(self):
+        # -1 once appeared in the enclave's member set
         with pytest.raises(GraphValidityError, match="vertex -1"):
-            enclave_certificate(gen_path(3), [-1, 0], 2)
+            shrink_enclave_to_island(gen_path(3), [-1, 0], 2)
 
     def test_out_of_range_id_rejected_by_is_enclave(self):
         with pytest.raises(GraphValidityError, match="vertex -1"):
@@ -138,20 +137,37 @@ class TestSparsePipeline:
     def test_dense_input_rejected(self):
         params = SparseIslandParams(t=2, alpha=0.25)
         with pytest.raises(DensityPreconditionError):
-            find_island_sparse(gen_complete_bipartite(5, 5), params, default_shatterer)
+            find_island_sparse(gen_complete_bipartite(5, 5), params)
 
     def test_grid_island_certified(self):
         G = gen_triangulated_grid(12, 12)
         params = SparseIslandParams(t=4, alpha=0.3)
-        cert = find_island_sparse(G, params, default_shatterer)
+        cert, C = find_island_sparse(G, params)
         assert is_island(G, cert.members, 4).ok
-        assert params.C is not None
-        assert len(cert.members) <= params.C
+        assert len(cert.members) <= C
+
+    def test_reused_params_return_each_graphs_own_C(self):
+        params = SparseIslandParams(t=4, alpha=0.3)
+        bounds = []
+        for G in (gen_triangulated_grid(12, 12), gen_triangulated_grid(4, 4)):
+            cert, C = find_island_sparse(G, params)
+            assert C == shatter(G, params.epsilon, bfs_level_separator).C
+            assert len(cert.members) <= C
+            bounds.append(C)
+        assert bounds[0] != bounds[1]  # a stale C would carry over
+
+    def test_params_are_frozen(self):
+        params = SparseIslandParams(t=4, alpha=0.3)
+        assert params.alpha == Fraction(3, 10)
+        with pytest.raises(FrozenInstanceError):
+            params.t = 5
+        with pytest.raises(FrozenInstanceError):
+            params.C = 7
 
     def test_disjoint_islands_report(self):
         G = gen_triangulated_grid(20, 20)
         params = SparseIslandParams(t=4, alpha=0.3)
-        report = disjoint_islands(G, params, default_shatterer)
+        report = disjoint_islands(G, params)
         seen = set()
         for cert in report.islands:
             assert is_island(G, cert.members, 4).ok
@@ -171,5 +187,5 @@ class TestSparsePipeline:
             params = SparseIslandParams(t=3, alpha=0.5)
             if not density_below(G, 3, params.alpha):
                 continue
-            cert = find_island_sparse(G, params, default_shatterer)
+            cert, _ = find_island_sparse(G, params)
             assert is_island(G, cert.members, 3).ok

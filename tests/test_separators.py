@@ -22,7 +22,6 @@ from islandkit.separators import (
     _cut_node,
     bfs_level_separator,
     brute_force_separator,
-    default_shatterer,
     shatter,
     verify_shatter,
 )
@@ -170,7 +169,7 @@ class TestShatter:
     def test_bounded_degree_random_graphs(self, rng):
         for n in (50, 200, 500):
             G = random_bounded_degree_graph(rng, n, 4)
-            report = default_shatterer(G, 0.2)
+            report = shatter(G, 0.2, bfs_level_separator)
             verify_shatter(G, report.X, report.C, 0.2)
 
 
