@@ -65,7 +65,10 @@ class ColoringVerdict:
 
 
 def monochromatic_components(G: Graph, colors: Sequence[int]) -> list[tuple[int, ...]]:
-    """Components of each colour class, ordered by minimum vertex."""
+    """Components of each colour class, ordered by minimum vertex; colors
+    holds one colour per vertex of G."""
+    if len(colors) != G.n:
+        raise ValueError(f"{len(colors)} colours for a graph on n={G.n} vertices")
     classes: dict[int, list[int]] = {}
     for v in range(G.n):
         classes.setdefault(colors[v], []).append(v)
@@ -90,7 +93,8 @@ def _mono_exceeds(G: Graph, colors: Sequence[int], v: int, C: int) -> bool:
 
 
 def verify_coloring(G: Graph, col: ClusteredColoring, C: int) -> ColoringVerdict:
-    """Accept iff every monochromatic component has at most C vertices."""
+    """Accept iff every monochromatic component has at most C vertices; a
+    colouring of the wrong length is a ValueError."""
     worst: tuple[int, ...] = ()
     for comp in monochromatic_components(G, col.colors):
         if len(comp) > len(worst):

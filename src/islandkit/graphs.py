@@ -147,6 +147,9 @@ class Graph:
 # edge-list text format
 # ---------------------------------------------------------------------------
 
+_ASCII_DIGITS = str.maketrans("", "", "0123456789")
+
+
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document into a Graph.
 
@@ -156,7 +159,66 @@ def parse_graph(text: str) -> Graph:
     edge lines, all endpoints below n); otherwise every line is an edge.
     A document without data lines is the empty graph; a lone "0 0" is a
     loop, not a header.
+
+    A plain document, one whose lines after any leading '#' lines are all
+    exactly "u v" (ASCII digits, one space, '\\n', the last newline
+    optional), is read in one pass over the whole text, as write_graph's
+    output is.  Everything else, every error included, is read by the
+    line parser, which names the offending line.
     """
+    G = _parse_plain(text)
+    return _parse_lines(text) if G is None else G
+
+
+def _parse_plain(text: str) -> Graph | None:
+    """parse_graph of a plain document with a simple graph in it, read
+    from one split of the whole text; None for any other text."""
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    head, body = text[:start], text[start:]
+    if len(head.splitlines()) != head.count("\n"):
+        return None  # a comment holds a line break that splitlines honours
+    if body and body[-1] != "\n":
+        body += "\n"
+    # without its digits a plain body reads " \n" once per line, and
+    # its tokens fill all 2 * lines slots between those separators
+    skeleton = body.translate(_ASCII_DIGITS)
+    lines = len(skeleton) // 2
+    if skeleton != " \n" * lines:
+        return None
+    try:
+        ids = list(map(int, body.split()))
+    except ValueError:  # a token longer than int()'s digit limit
+        return None
+    if len(ids) != 2 * lines:
+        return None
+
+    hn, hm = ids[:2] if ids else (0, 0)
+    body_ids = ids[2:]
+    if hn >= 1 and 2 * hm == len(body_ids) and max(body_ids, default=-1) < hn:
+        n, ids = hn, body_ids
+    else:
+        n = 1 + max(ids, default=-1)
+
+    adj: list[list[int]] = [[] for _ in range(n)]
+    pairs = iter(ids)
+    for a, b in zip(pairs, pairs):
+        adj[a].append(b)
+        adj[b].append(a)
+    # a duplicate edge, or a loop (its vertex twice in its own row),
+    # leaves a row with fewer distinct entries than entries
+    if sum(map(len, map(set, adj))) != len(ids):
+        return None
+    for row in adj:
+        row.sort()
+    return Graph._from_adj(tuple(map(tuple, adj)), len(ids) // 2)
+
+
+def _parse_lines(text: str) -> Graph:
+    """parse_graph line by line: every error names its line."""
     rows: list[tuple[int, int, int]] = []  # (lineno, a, b)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -256,8 +318,11 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]
 
 def bfs_levels(G: Graph, S: Iterable[int]) -> list[tuple[int, ...]]:
     """BFS level sets of G[S] from min S, within that vertex's component;
-    an id outside range(G.n) is a GraphValidityError that names it."""
+    an empty S or an id outside range(G.n) is a GraphValidityError that
+    names it."""
     members = set(S)
+    if not members:
+        raise GraphValidityError("BFS vertex set must be non-empty")
     root = min(members)
     _check_ends(G, (root, max(members)))
     depth = {-1: -1}  # the root maps to parent -1

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from islandkit.coloring import (
+    ClusteredColoring,
     IslandFinderError,
     ListAssignment,
     adversarial_list,
@@ -43,6 +44,16 @@ class TestMonochromatic:
         col, _ = greedy_clustered_coloring(G, 2, brute_finder)
         assert verify_coloring(G, col, col.achieved_clustering).ok
         assert not verify_coloring(G, col, 0).ok
+
+    @pytest.mark.parametrize("colors", [(0, 0, 1), (0, 0, 1, 1, 2)], ids=["short", "long"])
+    def test_colour_count_must_be_n(self, colors):
+        # a short tuple once raised a bare IndexError, a long one was accepted
+        G = gen_path(4)
+        message = f"{len(colors)} colours for a graph on n=4 vertices"
+        with pytest.raises(ValueError, match=message):
+            monochromatic_components(G, colors)
+        with pytest.raises(ValueError, match=message):
+            verify_coloring(G, ClusteredColoring(colors, 3, 2), 2)
 
 
 class TestGreedy:

@@ -1,15 +1,19 @@
 import itertools
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from islandkit import graphs as graphs_module
 from islandkit.graphs import (
     Graph,
     GraphParseError,
     GraphValidityError,
     MinorModel,
     Separation,
+    _parse_lines,
     bfs_levels,
     components_within,
     gen_complete_bipartite,
@@ -101,6 +105,108 @@ class TestParsing:
         H.validate()
         expected = Graph(n, edges)
         assert (H.n, H.adj, H.m) == (expected.n, expected.adj, expected.m)
+
+
+def _outcome(parse, text):
+    """(n, adj, m) of the parsed graph, or the error's type and message."""
+    try:
+        G = parse(text)
+    except Exception as err:
+        return type(err), str(err)
+    return G.n, G.adj, G.m
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Shuffled, flipped edge lists of small graphs, with or without a
+    comment, a header and a final newline, some with a loop or a
+    duplicate edge injected."""
+    G = draw(graphs(max_n=8, min_n=0))
+    edges = draw(st.permutations(list(G.edges())))
+    flips = draw(st.lists(st.booleans(), min_size=G.m, max_size=G.m))
+    lines = [f"{v} {u}" if flip else f"{u} {v}" for (u, v), flip in zip(edges, flips)]
+    if draw(st.booleans()):
+        v = draw(st.integers(0, 9))
+        lines.insert(draw(st.integers(0, len(lines))), f"{v} {v}")
+    if lines and draw(st.booleans()):
+        u, v = draw(st.sampled_from(lines)).split()
+        lines.insert(draw(st.integers(0, len(lines))), f"{v} {u}")
+    if draw(st.booleans()):
+        lines.insert(0, f"{G.n} {len(lines)}")
+    if draw(st.booleans()):
+        lines.insert(0, "# generated-by islandkit")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _short_ids(text):
+    """text with every run of digits cut to two characters: both parsers
+    allocate one row per id up to the largest."""
+    return re.sub("[0-9\u0663]{3,}", lambda run: run.group()[:2], text)
+
+
+# "\u0663" is ARABIC-INDIC DIGIT THREE, which int() reads as 3
+_PLAIN_ALPHABET = [*"0123456789", " ", "\n", "#"]
+_ALPHABET = _PLAIN_ALPHABET + ["\t", "\r\n", "-", "+", "\u0663"]
+
+
+class TestParserEquivalence:
+    """parse_graph reads plain documents in one pass and hands the rest to
+    _parse_lines; the two must agree on every text."""
+
+    @given(edge_list_texts())
+    @settings(max_examples=200, deadline=None)
+    def test_edge_lists(self, text):
+        assert _outcome(parse_graph, text) == _outcome(_parse_lines, text)
+
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(_PLAIN_ALPHABET), max_size=40),
+            st.lists(st.sampled_from(_ALPHABET), max_size=40),
+        ).map("".join).map(_short_ids)
+    )
+    @example("1\n2 3 4\n")  # one space per line on average, not on each
+    @example("1 \n34")
+    @example("# c\r0 1\n")  # splitlines ends the comment at the \r
+    @example("# c\x0b0 1\n")
+    @example("0 1\n\n")
+    @example("3 2\n0 1\n1 2")
+    @example("1 " + "0" * 4999 + "2\n")  # beyond int()'s default digit limit
+    @settings(max_examples=400, deadline=None)
+    def test_texts_over_the_alphabet(self, text):
+        assert _outcome(parse_graph, text) == _outcome(_parse_lines, text)
+
+
+class TestPlainFastPath:
+    @pytest.fixture
+    def no_line_parser(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("fell back to the line parser")
+
+        monkeypatch.setattr(graphs_module, "_parse_lines", refuse)
+
+    @pytest.mark.parametrize("G", [Graph(0, []), gen_path(1), gen_triangulated_grid(4, 5)])
+    def test_write_graph_output_is_plain(self, no_line_parser, G):
+        H = parse_graph(write_graph(G))
+        assert (H.n, H.adj, H.m) == (G.n, G.adj, G.m)
+
+    def test_header_and_edges_are_plain(self, no_line_parser):
+        G = gen_triangulated_grid(6, 7)
+        lines = [f"{v} {u}" for u, v in G.edges()][::-1]
+        H = parse_graph(f"{G.n} {G.m}\n" + "\n".join(lines))
+        assert (H.n, H.adj, H.m) == (G.n, G.adj, G.m)
+
+    def test_peak_memory_below_the_line_parser(self):
+        text = write_graph(gen_triangulated_grid(100, 100))
+        assert text.count("\n") > 29_000
+        peaks = []
+        for parse in (parse_graph, _parse_lines):
+            tracemalloc.start()
+            try:
+                parse(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.6 * peaks[1], peaks
 
 
 def _reference_induced(G, S):
@@ -251,6 +357,11 @@ class TestMinorModel:
 
 
 class TestVertexIds:
+    def test_bfs_of_no_vertices_is_named(self):
+        # min() of the empty set once raised a bare ValueError
+        with pytest.raises(GraphValidityError, match="BFS vertex set must be non-empty"):
+            bfs_levels(gen_path(3), [])
+
     def test_in_range_ids_are_normalised(self):
         assert checked_vset(gen_path(3), [2, 0, 2]) == (0, 2)
 
