@@ -347,15 +347,16 @@ def cmd_verify(args, started: float) -> int:
         if not verdict.ok:
             payload["witness"] = verdict.witness
             negative = True
-    _emit(args, "verify", params, payload, started)
-    if negative:
+    if negative:  # reported once, as the negative payload
         raise HonestNegative(payload)
+    _emit(args, "verify", params, payload, started)
     return 0
 
 
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on a usage error, as on any other error: argparse's own 2
-    is the exit code of an honest negative.  Subparsers share the class."""
+    is the exit code of an honest negative.  Subparsers share the class;
+    main returns the exit code instead of raising SystemExit."""
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -427,7 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error, or --help
+        return exc.code
     started = time.perf_counter()
     try:
         return args.func(args, started)

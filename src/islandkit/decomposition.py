@@ -6,18 +6,18 @@ tree-decomposition builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import Graph, Separation, checked_vset, reach, vset
 
 
 @dataclass(frozen=True)
-class TreeDecomposition:
+class _Decomposition:
     bags: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]  # decomposition-tree edges
 
     @property
     def order(self) -> int:
@@ -26,6 +26,11 @@ class TreeDecomposition:
     @property
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
+
+
+@dataclass(frozen=True)
+class TreeDecomposition(_Decomposition):
+    edges: tuple[tuple[int, int], ...]  # decomposition-tree edges
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in self.bags]
@@ -36,34 +41,36 @@ class TreeDecomposition:
 
 
 @dataclass(frozen=True)
-class PathDecomposition:
-    bags: tuple[tuple[int, ...], ...]
+class PathDecomposition(_Decomposition):
+    """A sequence of bags.  Its boundaries and vertex runs are computed at
+    most once per object; equality and hash see the bags only."""
 
-    @property
-    def order(self) -> int:
-        return len(self.bags)
+    @cached_property
+    def boundaries(self) -> tuple[tuple[int, ...], ...]:
+        """boundaries[i] is the boundary of bags i and i + 1."""
+        return tuple(self.boundary(i, i + 1) for i in range(len(self.bags) - 1))
 
-    @property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0) - 1
+    @cached_property
+    def runs(self) -> Mapping[int, tuple[int, int]]:
+        """Each vertex's first and last bag, in order of first appearance;
+        read-only, since every reader shares it."""
+        runs: dict[int, tuple[int, int]] = {}
+        for i, bag in enumerate(self.bags):
+            for v in bag:
+                runs[v] = (runs[v][0], i) if v in runs else (i, i)
+        return MappingProxyType(runs)
 
     @property
     def adhesion(self) -> int:
-        return max(
-            (
-                len(set(self.bags[i]) & set(self.bags[i + 1]))
-                for i in range(len(self.bags) - 1)
-            ),
-            default=0,
-        )
+        return max(map(len, self.boundaries), default=0)
 
     @property
     def proper(self) -> bool:
-        for i in range(len(self.bags) - 1):
-            a, b = set(self.bags[i]), set(self.bags[i + 1])
-            if a <= b or b <= a:
-                return False
-        return True
+        """No bag contains a neighbour: each boundary is smaller than both bags."""
+        return all(
+            len(cut) < min(len(set(a)), len(set(b)))
+            for cut, a, b in zip(self.boundaries, self.bags, self.bags[1:])
+        )
 
     def boundary(self, i: int, j: int) -> tuple[int, ...]:
         return tuple(sorted(set(self.bags[i]) & set(self.bags[j])))

@@ -16,6 +16,7 @@ from itertools import groupby
 from typing import Sequence
 
 from .decomposition import (
+    DecompositionVerdict,
     Linkage,
     PathDecomposition,
     TreeDecomposition,
@@ -41,14 +42,6 @@ from .islands import IslandCertificate, is_island
 
 class AuditError(RuntimeError):
     """A decomposition failed one of the from-scratch audits."""
-
-
-@dataclass(frozen=True)
-class AuditVerdict:
-    """Outcome of the appearance-universality or large-interiors audit."""
-
-    ok: bool
-    violation: str | None = None
 
 
 @dataclass(frozen=True)
@@ -175,8 +168,7 @@ def _bag_linkage(
     to its find_linkage result, so bags of one shape share one flow."""
     if memo is None:
         memo = {}
-    left = P.boundary(z - 1, z)
-    right = P.boundary(z, z + 1)
+    left, right = P.boundaries[z - 1], P.boundaries[z]
     if len(left) != len(right):
         raise AuditError(
             f"bag {z} has unequal boundaries ({len(left)} vs {len(right)})"
@@ -231,9 +223,9 @@ def _linkage_violation(
             if i and not G.has_edge(path[i - 1], v):
                 return f"linkage of bag {z} steps along non-edge ({path[i - 1]},{v})"
     # the paths are disjoint, so equal sets mean one path per boundary vertex
-    if vset(p[0] for p in res.paths) != P.boundary(z - 1, z):
+    if vset(p[0] for p in res.paths) != P.boundaries[z - 1]:
         return f"linkage of bag {z} does not start at its left boundary"
-    if vset(p[-1] for p in res.paths) != P.boundary(z, z + 1):
+    if vset(p[-1] for p in res.paths) != P.boundaries[z]:
         return f"linkage of bag {z} does not end at its right boundary"
     return None
 
@@ -266,8 +258,7 @@ def audit_linked(G: Graph, P: PathDecomposition) -> LinkedVerdict:
     linkages for its callers to use.
     """
     for z in range(1, P.order - 1):
-        left = P.boundary(z - 1, z)
-        right = P.boundary(z, z + 1)
+        left, right = P.boundaries[z - 1], P.boundaries[z]
         if len(left) != len(right):
             return LinkedVerdict(
                 False, f"bag {z} boundaries differ in size ({len(left)} vs {len(right)})"
@@ -322,8 +313,8 @@ def make_linked(G: Graph, P: PathDecomposition) -> TransformResult:
 def _make_linked_rec(
     G: Graph, P: PathDecomposition
 ) -> tuple[PathDecomposition, dict[int, Linkage | Separation]]:
-    sizes = [len(set(P.bags[i]) & set(P.bags[i + 1])) for i in range(P.order - 1)]
-    p = max(sizes, default=0)  # the adhesion
+    sizes = [len(cut) for cut in P.boundaries]
+    p = P.adhesion
     if p == 0 or P.order <= 2:
         # every boundary is empty: each internal bag carries the empty linkage
         return P, {z: Linkage(()) for z in range(1, P.order - 1)}
@@ -375,25 +366,14 @@ def _make_linked_rec(
 # appearance-universality and large interiors
 # ---------------------------------------------------------------------------
 
-def _vertex_runs(P: PathDecomposition) -> dict[int, tuple[int, int]]:
-    runs: dict[int, tuple[int, int]] = {}
-    for i, bag in enumerate(P.bags):
-        for v in bag:
-            if v in runs:
-                runs[v] = (runs[v][0], i)
-            else:
-                runs[v] = (i, i)
-    return runs
-
-
-def audit_appearance_universal(P: PathDecomposition) -> AuditVerdict:
-    for v, (a, b) in _vertex_runs(P).items():
+def audit_appearance_universal(P: PathDecomposition) -> DecompositionVerdict:
+    for v, (a, b) in P.runs.items():
         span = b - a + 1
         if span > 2 and span != P.order:
-            return AuditVerdict(
+            return DecompositionVerdict(
                 False, f"vertex {v} appears in {span} of {P.order} bags"
             )
-    return AuditVerdict(True)
+    return DecompositionVerdict(True)
 
 
 def make_appearance_universal(P: PathDecomposition) -> TransformResult:
@@ -420,10 +400,9 @@ def _appuniv_rec(
     identity = tuple((i, i) for i in range(order))
     if order <= 2:
         return P, identity
-    runs = _vertex_runs(P)
     partial = {
         v: (a, b)
-        for v, (a, b) in runs.items()
+        for v, (a, b) in P.runs.items()
         if (b - a + 1) > 2 and (b - a + 1) != order
     }
     if not partial:
@@ -454,29 +433,29 @@ def _appuniv_rec(
 def internal_vertices(P: PathDecomposition) -> dict[int, tuple[int, ...]]:
     """Vertices appearing in exactly one bag, grouped by their bag node."""
     out: dict[int, list[int]] = {i: [] for i in range(P.order)}
-    for v, (a, b) in _vertex_runs(P).items():
+    for v, (a, b) in P.runs.items():
         if a == b:
             out[a].append(v)
     return {i: tuple(sorted(vs)) for i, vs in out.items()}
 
 
-def audit_large_interiors(G: Graph, P: PathDecomposition) -> AuditVerdict:
+def audit_large_interiors(G: Graph, P: PathDecomposition) -> DecompositionVerdict:
     """Every internal bag holds an internal vertex, and no internal vertex
     touches both exclusive sides of its bag's neighbors."""
     interiors = internal_vertices(P)
     for z in range(1, P.order - 1):
         if not interiors[z]:
-            return AuditVerdict(False, f"internal bag {z} has no internal vertex")
+            return DecompositionVerdict(False, f"internal bag {z} has no internal vertex")
         left_only = set(P.bags[z - 1]) - set(P.bags[z + 1])
         right_only = set(P.bags[z + 1]) - set(P.bags[z - 1])
         for v in interiors[z]:
             nbrs = set(G.adj[v])
             if nbrs & left_only and nbrs & right_only:
-                return AuditVerdict(
+                return DecompositionVerdict(
                     False,
                     f"internal vertex {v} of bag {z} touches both exclusive sides",
                 )
-    return AuditVerdict(True)
+    return DecompositionVerdict(True)
 
 
 def make_large_interiors(G: Graph, P: PathDecomposition) -> TransformResult:
@@ -532,7 +511,7 @@ def extended_bags(G: Graph, P: PathDecomposition) -> ExtendedBagsResult:
     out: list[ExtendedBag] = []
     # boundary vertex -> global path index; the paths are numbered in the
     # order of the first internal bag's sorted left boundary
-    first = P.boundary(0, 1)
+    first = P.boundaries[0]
     index_of = {v: i for i, v in enumerate(first)}
     global_paths = [[v] for v in first]
     for z in range(1, P.order - 1):

@@ -243,6 +243,47 @@ class TestVerify:
         assert report["input_digest"] == hashlib.sha256(data).hexdigest()
 
 
+class TestVerifyDecomposition:
+    """verify --decomposition re-checks a decomposition file against G."""
+
+    @pytest.fixture
+    def fan(self, tmp_path):
+        path = tmp_path / "fan.txt"
+        assert main(["gen", "fan", "1", "6", str(path)]) == 0  # path 0..5, apex 6
+        return str(path)
+
+    def verify(self, fan, tmp_path, text):
+        pd = tmp_path / "fan.pd"
+        pd.write_text(text)
+        return main(["--json", "verify", fan, "--decomposition", str(pd)])
+
+    def test_valid_decomposition(self, fan, tmp_path, capsys):
+        bags = "".join(f"bag {i} {i + 1} 6\n" for i in range(5))
+        capsys.readouterr()
+        assert self.verify(fan, tmp_path, f"path 5\n{bags}") == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload["decomposition_ok"] is True
+        assert "violation" not in payload
+
+    def test_uncovered_edge_is_a_negative(self, fan, tmp_path, capsys):
+        # the apex misses the last bag, so the edge (5,6) lies in no bag
+        bags = "".join(f"bag {i} {i + 1} 6\n" for i in range(4)) + "bag 4 5\n"
+        capsys.readouterr()
+        assert self.verify(fan, tmp_path, f"path 5\n{bags}") == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1  # the negative only, not also the report
+        negative = json.loads(out)["negative"]
+        assert negative["decomposition_ok"] is False
+        assert negative["violation"] == "edge (5,6) uncovered"
+
+    def test_malformed_file_names_the_line(self, fan, tmp_path, capsys):
+        capsys.readouterr()
+        assert self.verify(fan, tmp_path, "path 2\nbag 0 1 6\nbag 1 x\n") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: line 3: expected integers after 'bag'" in captured.err
+
+
 class TestVertexIdsAtTheBoundary:
     def test_percolate_negative_seed_is_error(self, p3, capsys):
         capsys.readouterr()
@@ -298,26 +339,21 @@ class TestNonFiniteParameters:
 
 class TestUsageErrors:
     """A malformed command line exits 1, never 2, the code of an honest
-    negative."""
+    negative; main returns the code rather than raising SystemExit."""
 
     @pytest.mark.parametrize("value", ["abc", "-inf"])
     def test_shatter_epsilon(self, p3, capsys, value):
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["shatter", p3, value])
-        assert exc.value.code == 1
+        assert main(["shatter", p3, value]) == 1
         assert "islandkit shatter: error:" in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 1
+        assert main(["frobnicate"]) == 1
         assert "islandkit: error:" in capsys.readouterr().err
 
     def test_help_still_exits_0(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["shatter", "--help"])
-        assert exc.value.code == 0
+        assert main(["shatter", "--help"]) == 0
+        assert "usage: islandkit shatter" in capsys.readouterr().out
 
 
 class TestReadme:

@@ -112,6 +112,49 @@ class TestPathDecomposition:
         assert validate_decomposition(gen_path(4), Q).ok
 
 
+def reference_adhesion(P: PathDecomposition) -> int:
+    return max(
+        (len(set(P.bags[i]) & set(P.bags[i + 1])) for i in range(P.order - 1)),
+        default=0,
+    )
+
+
+def reference_proper(P: PathDecomposition) -> bool:
+    for i in range(P.order - 1):
+        a, b = set(P.bags[i]), set(P.bags[i + 1])
+        if a <= b or b <= a:
+            return False
+    return True
+
+
+class TestCachedFacts:
+    """boundaries, runs, adhesion and proper against their set-based
+    definitions, on bags that may repeat a vertex or contain a neighbour."""
+
+    @example([])
+    @example([[]])
+    @example([[0, 1], [0, 1, 2], [2]])
+    @example([[1, 1, 0], [1, 0]])  # repeated vertices: both bags are {0, 1}
+    @given(st.lists(st.lists(st.integers(0, 5), max_size=5), max_size=10))
+    @settings(max_examples=400, deadline=None)
+    def test_match_set_definitions(self, bags):
+        P = PathDecomposition(tuple(map(tuple, bags)))
+        fresh = PathDecomposition(P.bags)
+        digest = hash(P)
+        assert P.boundaries == tuple(P.boundary(i, i + 1) for i in range(P.order - 1))
+        assert P.adhesion == reference_adhesion(P)
+        assert P.proper == reference_proper(P)
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
+        for i, bag in enumerate(P.bags):
+            for v in bag:
+                first.setdefault(v, i)
+                last[v] = i
+        assert list(P.runs.items()) == [(v, (first[v], last[v])) for v in first]
+        assert P == fresh and hash(P) == hash(fresh) == digest
+        assert P.boundaries is P.boundaries and P.runs is P.runs
+
+
 def reference_restore_properness(P: PathDecomposition):
     """restore_properness as a restart loop: merge the leftmost pair of
     neighbour bags where either contains the other, then rescan from bag 0."""
