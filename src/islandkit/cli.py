@@ -201,8 +201,9 @@ def cmd_color(args, started: float) -> int:
         )
     else:
         col, trace = coloring.greedy_clustered_coloring(G, args.t, finder)
-    verdict = coloring.verify_coloring(G, col, col.achieved_clustering)
-    if not verdict.ok:
+    # the theorem's bound: no monochromatic component outgrows an island
+    verdict = coloring.verify_coloring(G, col, trace.max_island_size)
+    if not verdict.ok or verdict.max_component != col.achieved_clustering:
         raise RuntimeError("greedy coloring failed re-verification")
     payload = {
         "palette": args.t,
@@ -291,7 +292,7 @@ def cmd_pathdecomp(args, started: float) -> int:
         elif step == "linked":
             P = surgery.make_linked(G, P).decomposition
         elif step == "appuniv":
-            P = surgery.make_appearance_universal(P).decomposition
+            P = surgery.make_appearance_universal(G, P).decomposition
         elif step == "largeint":
             P = surgery.make_large_interiors(G, P).decomposition
         elif step == "extract":
@@ -319,10 +320,11 @@ def cmd_pathdecomp(args, started: float) -> int:
             continue
         else:
             raise ValueError(f"unknown transform {step!r}")
+        payload["stages"].append({"step": step, "order": P.order, "width": P.width})
+    if step != "extract":  # no stage received the last result
         verdict = validate_decomposition(G, P)
         if not verdict.ok:
-            raise RuntimeError(f"stage {step} produced invalid decomposition")
-        payload["stages"].append({"step": step, "order": P.order, "width": P.width})
+            raise RuntimeError(f"invalid decomposition after {step}: {verdict.violation}")
     _emit(args, "pathdecomp", params, payload, started)
     return 0
 

@@ -42,8 +42,8 @@ class TreeDecomposition(_Decomposition):
 
 @dataclass(frozen=True)
 class PathDecomposition(_Decomposition):
-    """A sequence of bags.  Its boundaries and vertex runs are computed at
-    most once per object; equality and hash see the bags only."""
+    """A sequence of bags.  Its boundaries, vertex runs and interiors are
+    computed at most once per object; equality and hash see the bags only."""
 
     @cached_property
     def boundaries(self) -> tuple[tuple[int, ...], ...]:
@@ -59,6 +59,15 @@ class PathDecomposition(_Decomposition):
             for v in bag:
                 runs[v] = (runs[v][0], i) if v in runs else (i, i)
         return MappingProxyType(runs)
+
+    @cached_property
+    def interiors(self) -> tuple[tuple[int, ...], ...]:
+        """interiors[i]: the vertices of bag i and no other bag, ascending."""
+        out: list[list[int]] = [[] for _ in self.bags]
+        for v, (a, b) in self.runs.items():
+            if a == b:
+                out[a].append(v)
+        return tuple(tuple(sorted(vs)) for vs in out)
 
     @property
     def adhesion(self) -> int:

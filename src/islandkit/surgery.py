@@ -44,6 +44,16 @@ class AuditError(RuntimeError):
     """A decomposition failed one of the from-scratch audits."""
 
 
+def _require_valid(G: Graph, D, kind: type, stage: str) -> None:
+    """Each stage's entry check and its one validation against G: the wrong
+    kind is require_kind's TypeError, an invalid D an AuditError naming the
+    stage and the violation.  No stage re-validates its own result."""
+    require_kind(D, kind, stage)
+    verdict = validate_decomposition(G, D)
+    if not verdict.ok:
+        raise AuditError(f"{stage}: invalid {kind.__name__}: {verdict.violation}")
+
+
 @dataclass(frozen=True)
 class TransformResult:
     decomposition: PathDecomposition
@@ -142,17 +152,15 @@ def tree_to_path(G: Graph, T: TreeDecomposition) -> TransformResult:
     united with the branch's bags.  Otherwise: walk a longest path of the
     tree, folding each hanging subtree into the bag it hangs from.
     The achieved order is best-effort and reported, not promised.
+    T is validated against G once, at entry; the result is checked to be
+    proper and left to the next stage to validate.
     """
-    require_kind(T, TreeDecomposition, "tree_to_path")
-    verdict = validate_decomposition(G, T)
-    if not verdict.ok:
-        raise AuditError(f"invalid tree decomposition: {verdict.violation}")
+    _require_valid(G, T, TreeDecomposition, "tree_to_path")
     adj = T.adjacency()
     order = [*reach(adj, 0, set(range(T.order)))] if T.bags else []
     P, _ = restore_properness(PathDecomposition(tuple(_tree_path_bags(T, adj, order))))
-    verdict = validate_decomposition(G, P)
-    if not verdict.ok or not P.proper:
-        raise AuditError(f"tree_to_path produced an invalid result: {verdict.violation}")
+    if not P.proper:
+        raise AuditError("tree_to_path produced an improper result")
     return TransformResult(P, None)
 
 
@@ -296,12 +304,10 @@ def make_linked(G: Graph, P: PathDecomposition) -> TransformResult:
     (bag_linkages shares one max-flow among bags of one relabelled
     shape); the chosen result's linkages are then checked as
     certificates, bag by bag, not recomputed.  The achieved order is
-    reported, never fabricated.
+    reported, never fabricated.  P is validated against G once, at entry;
+    the result is left to the next stage to validate.
     """
-    require_kind(P, PathDecomposition, "make_linked")
-    verdict = validate_decomposition(G, P)
-    if not verdict.ok:
-        raise AuditError(f"invalid path decomposition: {verdict.violation}")
+    _require_valid(G, P, PathDecomposition, "make_linked")
     P, _ = restore_properness(P)
     result, linkages = _make_linked_rec(G, P)
     final = _checked_linkages(G, result, linkages)
@@ -376,15 +382,17 @@ def audit_appearance_universal(P: PathDecomposition) -> DecompositionVerdict:
     return DecompositionVerdict(True)
 
 
-def make_appearance_universal(P: PathDecomposition) -> TransformResult:
+def make_appearance_universal(G: Graph, P: PathDecomposition) -> TransformResult:
     """Coarsen until every vertex appears in all bags or in at most two
     consecutive ones.
 
     Either peel a long-running vertex (restrict to its run, remove it,
     recurse, re-add it everywhere) or merge the path into blocks as long
     as the longest remaining run; the branch keeping more order wins.
+    P is validated against G once, at entry; the result is left to the
+    next stage to validate.
     """
-    require_kind(P, PathDecomposition, "make_appearance_universal")
+    _require_valid(G, P, PathDecomposition, "make_appearance_universal")
     result, intervals = _appuniv_rec(P)
     verify_coarsening(P, result, intervals)
     verdict = audit_appearance_universal(result)
@@ -430,19 +438,10 @@ def _appuniv_rec(
     return max(options, key=lambda opt: opt[0].order)
 
 
-def internal_vertices(P: PathDecomposition) -> dict[int, tuple[int, ...]]:
-    """Vertices appearing in exactly one bag, grouped by their bag node."""
-    out: dict[int, list[int]] = {i: [] for i in range(P.order)}
-    for v, (a, b) in P.runs.items():
-        if a == b:
-            out[a].append(v)
-    return {i: tuple(sorted(vs)) for i, vs in out.items()}
-
-
 def audit_large_interiors(G: Graph, P: PathDecomposition) -> DecompositionVerdict:
     """Every internal bag holds an internal vertex, and no internal vertex
     touches both exclusive sides of its bag's neighbors."""
-    interiors = internal_vertices(P)
+    interiors = P.interiors
     for z in range(1, P.order - 1):
         if not interiors[z]:
             return DecompositionVerdict(False, f"internal bag {z} has no internal vertex")
@@ -460,8 +459,9 @@ def audit_large_interiors(G: Graph, P: PathDecomposition) -> DecompositionVerdic
 
 def make_large_interiors(G: Graph, P: PathDecomposition) -> TransformResult:
     """Triple-merge coarsening of a proper appearance-universal path
-    decomposition; the result has large interiors."""
-    require_kind(P, PathDecomposition, "make_large_interiors")
+    decomposition; the result has large interiors.  P is validated against
+    G once, at entry; the result is left to the next stage to validate."""
+    _require_valid(G, P, PathDecomposition, "make_large_interiors")
     if not P.proper:
         raise AuditError("input decomposition is not proper")
     verdict = audit_appearance_universal(P)
@@ -509,28 +509,15 @@ def extended_bags(G: Graph, P: PathDecomposition) -> ExtendedBagsResult:
     if P.order <= 2:
         return ExtendedBagsResult((), ())
     out: list[ExtendedBag] = []
-    # boundary vertex -> global path index; the paths are numbered in the
-    # order of the first internal bag's sorted left boundary
-    first = P.boundaries[0]
-    index_of = {v: i for i, v in enumerate(first)}
-    global_paths = [[v] for v in first]
+    # the paths are numbered in the order of the first internal bag's
+    # sorted left boundary; the audit proved that each bag's paths start
+    # exactly at its left boundary, where the global paths end
+    global_paths = [[v] for v in P.boundaries[0]]
     for z in range(1, P.order - 1):
-        linkage = verdict.linkages[z].paths
-        ordered: list[tuple[int, ...] | None] = [None] * len(linkage)
-        for path in linkage:
-            i = index_of.get(path[0])
-            if i is None:
-                raise AuditError(
-                    f"linkage of bag {z} does not stitch at vertex {path[0]}"
-                )
-            ordered[i] = path
-        oriented = [p for p in ordered if p is not None]
-        if len(oriented) != len(ordered):
-            raise AuditError(f"linkage of bag {z} does not stitch")
-        index_of = {}
-        for i, path in enumerate(oriented):
-            index_of[path[-1]] = i
-            global_paths[i].extend(path[1:])
+        by_start = {p[0]: p for p in verdict.linkages[z].paths}
+        oriented = [by_start[g[-1]] for g in global_paths]
+        for g, path in zip(global_paths, oriented):
+            g.extend(path[1:])
         out.append(
             ExtendedBag(
                 node=z,
@@ -578,20 +565,19 @@ def island_or_minor(
 
     The minor branch buckets non-island bags by their signature; a bucket
     of size m yields the minor by contracting global linkage paths.
-    t, m and l must be at least 1.
+    t, m and l must be at least 1.  P is validated against G once, at
+    entry.
     """
-    require_kind(P, PathDecomposition, "island_or_minor")
+    _require_valid(G, P, PathDecomposition, "island_or_minor")
     for name, value in (("t", t), ("m", m), ("l", l)):
         if value < 1:
             raise ValueError(f"island_or_minor needs {name} >= 1, got {name}={value}")
-    verdict = validate_decomposition(G, P)
-    if not verdict.ok:
-        raise AuditError(f"invalid decomposition: {verdict.violation}")
     eb = extended_bags(G, P)  # the one linkedness audit
+    # make_large_interiors' own certificate, and this stage's precondition
     iv = audit_large_interiors(G, P)
     if not iv.ok:
         raise AuditError(f"no large interiors: {iv.violation}")
-    interiors = internal_vertices(P)
+    interiors = P.interiors
     internal = list(range(1, P.order - 1))
     flags: dict[int, object] = {}
     for z in internal:
@@ -808,7 +794,7 @@ def bounded_tw_island(
     report["path_order"] = stage.decomposition.order
     linked = make_linked(G, stage.decomposition)
     report["linked_order"] = linked.decomposition.order
-    appuniv = make_appearance_universal(linked.decomposition)
+    appuniv = make_appearance_universal(G, linked.decomposition)
     report["appearance_universal_order"] = appuniv.decomposition.order
     interiors = make_large_interiors(G, appuniv.decomposition)
     report["large_interiors_order"] = interiors.decomposition.order

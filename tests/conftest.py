@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
+from islandkit import cli, decomposition, surgery
 from islandkit.graphs import Graph, induced_subgraph
 
 
@@ -85,3 +86,18 @@ def line_events(modules, fn, *args) -> int:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The decompositions passed to validate_decomposition, as bound in
+    surgery and cli, one entry per call."""
+    seen = []
+
+    def counting(G, D):
+        seen.append(D)
+        return decomposition.validate_decomposition(G, D)
+
+    for module in (surgery, cli):
+        monkeypatch.setattr(module, "validate_decomposition", counting)
+    return seen

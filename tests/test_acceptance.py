@@ -180,7 +180,7 @@ def test_criterion_09_decomposition_surgery_audits():
     outcomes = {"islands": 0, "minor": 0, "order_too_small": 0}
     for G, P in corpus:
         linked = make_linked(G, P).decomposition  # audited internally
-        appuniv = make_appearance_universal(linked).decomposition
+        appuniv = make_appearance_universal(G, linked).decomposition
         li = make_large_interiors(G, appuniv).decomposition  # audited internally
         result = island_or_minor(G, li, t=2, m=2, l=1)
         outcomes[result.kind] += 1

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from islandkit import coloring
 from islandkit.cli import main
 from islandkit.decomposition import PathDecomposition, write_decomposition
 from islandkit.graphs import vset
@@ -95,6 +96,18 @@ class TestColorPercolateShatter:
         # 5 vertices: only the brute-force finder would run, alpha is never read
         assert main(["color", k23, "2", "--alpha", alpha]) == 1
         assert "error: --alpha must be > 0" in capsys.readouterr().err
+
+    def test_color_component_above_the_largest_island_fails(self, p3, monkeypatch, capsys):
+        # islands {0, 1} and {2} of one colour join into a component of 3;
+        # the colouring's own clustering (3) agrees with itself
+        def joined(G, t, finder):
+            col = coloring.ClusteredColoring((0, 0, 0), t, 3)
+            return col, coloring.IslandEliminationTrace((((0, 1), (0, 0)), ((2,), (0,))))
+
+        monkeypatch.setattr(coloring, "greedy_clustered_coloring", joined)
+        capsys.readouterr()
+        assert main(["color", p3, "2"]) == 1
+        assert "greedy coloring failed re-verification" in capsys.readouterr().err
 
     def test_percolate(self, k23, capsys):
         assert main(["percolate", k23, "0,1", "2"]) == 0
@@ -221,6 +234,60 @@ class TestPathdecomp:
         chain = "appuniv,largeint,extract"
         assert main(["--json", "pathdecomp", str(graph), str(pd), chain, t, m, l]) == 1
         assert f"needs {name} >= 1" in capsys.readouterr().err
+
+
+class TestPathdecompValidation:
+    """Each decomposition is validated against the graph once: by the stage
+    it enters, or after the chain when no stage received it."""
+
+    @pytest.fixture
+    def fan(self, tmp_path):
+        path = tmp_path / "fan50.txt"
+        assert main(["gen", "fan", "1", "50", str(path)]) == 0  # path 0..49, apex 50
+        return str(path)
+
+    def decomposition(self, tmp_path, kind):
+        bags = "".join(f"bag {i} {i + 1} 50\n" for i in range(49))
+        edges = "".join(f"edge {i} {i + 1}\n" for i in range(48))
+        pd = tmp_path / "fan50.dec"
+        pd.write_text(f"tree 49\n{edges}{bags}" if kind == "tree" else f"path 49\n{bags}")
+        return str(pd)
+
+    @pytest.mark.parametrize(
+        "kind, chain, calls",
+        [
+            ("path", "linked,appuniv,largeint,extract", 4),
+            ("tree", "treepath,linked,appuniv,largeint,extract", 5),
+            ("path", "linked", 2),
+            ("path", "proper", 1),
+        ],
+    )
+    def test_one_validation_per_decomposition(
+        self, fan, tmp_path, validations, kind, chain, calls
+    ):
+        assert main(["pathdecomp", fan, self.decomposition(tmp_path, kind), chain]) == 0
+        assert len(validations) == calls
+
+    @pytest.mark.parametrize(
+        "chain, stage",
+        [
+            ("appuniv,largeint,extract", "make_appearance_universal"),
+            ("largeint,extract", "make_large_interiors"),
+            ("proper", "after proper"),
+            ("proper,linked", "make_linked"),
+        ],
+    )
+    def test_uncovered_edge_is_named(self, tmp_path, capsys, chain, stage):
+        graph = tmp_path / "fan.txt"
+        main(["gen", "fan", "1", "6", str(graph)])
+        # the apex misses the last bag, so the edge (5,6) lies in no bag
+        bags = "".join(f"bag {i} {i + 1} 6\n" for i in range(4)) + "bag 4 5\n"
+        pd = tmp_path / "fan.pd"
+        pd.write_text(f"path 5\n{bags}")
+        capsys.readouterr()
+        assert main(["pathdecomp", str(graph), str(pd), chain]) == 1
+        err = capsys.readouterr().err
+        assert stage in err and "edge (5,6) uncovered" in err
 
 
 class TestVerify:

@@ -128,8 +128,9 @@ def reference_proper(P: PathDecomposition) -> bool:
 
 
 class TestCachedFacts:
-    """boundaries, runs, adhesion and proper against their set-based
-    definitions, on bags that may repeat a vertex or contain a neighbour."""
+    """boundaries, runs, interiors, adhesion and proper against their
+    set-based definitions, on bags that may repeat a vertex or contain a
+    neighbour."""
 
     @example([])
     @example([[]])
@@ -151,8 +152,13 @@ class TestCachedFacts:
                 first.setdefault(v, i)
                 last[v] = i
         assert list(P.runs.items()) == [(v, (first[v], last[v])) for v in first]
+        assert P.interiors == tuple(
+            tuple(sorted(set(bag).difference(*P.bags[:i], *P.bags[i + 1 :])))
+            for i, bag in enumerate(P.bags)
+        )
         assert P == fresh and hash(P) == hash(fresh) == digest
         assert P.boundaries is P.boundaries and P.runs is P.runs
+        assert P.interiors is P.interiors
 
 
 def reference_restore_properness(P: PathDecomposition):

@@ -42,7 +42,6 @@ from islandkit.surgery import (
     coarsen_by_blocks,
     extended_bags,
     f_link,
-    internal_vertices,
     island_or_minor,
     make_appearance_universal,
     make_large_interiors,
@@ -150,18 +149,19 @@ class TestDecompositionKind:
         [
             ("tree_to_path", lambda G, T, P: tree_to_path(G, P)),
             ("make_linked", lambda G, T, P: make_linked(G, T)),
-            ("make_appearance_universal", lambda G, T, P: make_appearance_universal(T)),
+            ("make_appearance_universal", lambda G, T, P: make_appearance_universal(G, T)),
             ("make_large_interiors", lambda G, T, P: make_large_interiors(G, T)),
             ("island_or_minor", lambda G, T, P: island_or_minor(G, T, 2, 2, 1)),
             ("restore_properness", lambda G, T, P: restore_properness(T)),
         ],
     )
-    def test_wrong_kind_is_a_named_error(self, stage, run):
+    def test_wrong_kind_is_a_named_error(self, stage, run, validations):
         want, got = ("PathDecomposition", "TreeDecomposition")
         if stage == "tree_to_path":
             want, got = got, want
         with pytest.raises(TypeError, match=f"^{stage} needs a {want}, got a {got}$"):
             run(gen_path(4), self.TREE, self.PATH)
+        assert validations == []  # the kind is checked before any validation
 
 
 class TestCoarsening:
@@ -218,7 +218,7 @@ class TestMakeLinked:
 class TestAppearanceUniversal:
     def test_fan_apex_becomes_universal(self):
         P = fan_decomposition(20, 20)
-        result = make_appearance_universal(P)
+        result = make_appearance_universal(gen_fan(1, 20), P)
         assert audit_appearance_universal(result.decomposition).ok
         assert result.intervals is not None
         verify_coarsening(P, result.decomposition, result.intervals)
@@ -230,13 +230,13 @@ class TestAppearanceUniversal:
             vset(set(b) | {9}) if 2 <= i <= 6 else b for i, b in enumerate(bags)
         ]
         P = PathDecomposition(tuple(bags))
-        result = make_appearance_universal(P)
+        result = make_appearance_universal(Graph(10, []), P)
         assert audit_appearance_universal(result.decomposition).ok
         verify_coarsening(P, result.decomposition, result.intervals)
 
     def test_idempotent_on_clean_input(self):
         P = PathDecomposition(((0, 1), (1, 2), (2, 3)))
-        result = make_appearance_universal(P)
+        result = make_appearance_universal(gen_path(4), P)
         assert result.decomposition.bags == P.bags
 
 
@@ -261,7 +261,7 @@ class TestLargeInteriors:
         G = gen_fan(1, 12)
         P = fan_decomposition(12, 12)
         result = make_large_interiors(G, P)
-        interiors = internal_vertices(result.decomposition)
+        interiors = result.decomposition.interiors
         for z in range(1, result.decomposition.order - 1):
             assert interiors[z]
 

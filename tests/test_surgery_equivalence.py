@@ -40,7 +40,6 @@ from islandkit.surgery import (
     audit_linked,
     coarsen_by_blocks,
     extended_bags,
-    internal_vertices,
     island_or_minor,
     make_appearance_universal,
     make_large_interiors,
@@ -240,7 +239,7 @@ def reference_island_or_minor(G, P, t, m, l):
         raise AuditError("not linked")
     if not audit_large_interiors(G, P).ok:
         raise AuditError("no large interiors")
-    interiors = internal_vertices(P)
+    interiors = P.interiors
     internal = list(range(1, P.order - 1))
     flags = {z: is_island(G, interiors[z], t) for z in internal}
     run = []
@@ -439,7 +438,7 @@ def check_chain(G, P, t, m, l):
     verdict = audit_linked(G, linked)
     assert verdict.ok and reference_audit_linked(G, linked)
 
-    appuniv = make_appearance_universal(linked)
+    appuniv = make_appearance_universal(G, linked)
     verify_coarsening(linked, appuniv.decomposition, appuniv.intervals)
     assert audit_appearance_universal(appuniv.decomposition).ok
 
