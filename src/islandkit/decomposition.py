@@ -264,92 +264,102 @@ def find_linkage(G: Graph, A: Iterable[int], B: Iterable[int]) -> Linkage | Sepa
     with A on one side and B on the other (Menger's dichotomy).
 
     A and B may intersect; shared vertices yield zero-length paths.
-    BFS augmenting paths on the split graph, O(|A|·(n+m)).
+
+    Shortest augmenting paths (Edmonds-Karp) on the split graph: vertex v
+    is an arc v_in -> v_out of capacity 1, edge uv gives uncapacitated arcs
+    u_out -> v_in and v_out -> u_in, the source feeds each a_in and each
+    b_out feeds the sink.  Unit vertex capacity lets two per-vertex arrays
+    hold the whole flow, so no arc array is built: pred[v] is where v's
+    unit comes from and succ[v] where it goes (a neighbour, or the source
+    and the sink).  The residual arcs follow from them.  v_in has at most
+    one: to v_out if v is unused, else back to pred[v]'s out node.  v_out
+    has, in this order, the reverse arc to v_in if v is used, the arcs to
+    the in nodes of G.adj[v] in row order, which always have capacity, and
+    the sink if v is in B.  That is the order in which the split graph
+    lists each node's arcs, so the BFS visits nodes in the order a BFS
+    over explicit arc lists would: it finds the same augmenting paths,
+    hence the same linkage, and its last, failed pass marks the same
+    residual-reachable set, hence the same separation.  O(|A|·(n+m)).
     """
     A, B = checked_vset(G, A), checked_vset(G, B)
     if len(A) != len(B):
         raise ValueError(f"|A|={len(A)} != |B|={len(B)}")
-    n = G.n
-    # node 2v = v_in, 2v+1 = v_out, source = 2n, sink = 2n+1;
-    # only the in->out arcs have capacity 1, so the min cut is a vertex cut.
-    # Arc e runs to head[e] with residual capacity cap[e]; arc e ^ 1 is its
-    # reverse, and arc 2v is v_in -> v_out.  out[x] lists the arcs leaving
-    # x in the order they are added, which fixes the BFS order.
-    source, sink = 2 * n, 2 * n + 1
-    big = n + 1
-    head = [e ^ 1 for e in range(2 * n)]
-    cap = [1, 0] * n
-    out = [[e] for e in range(2 * n)] + [[], []]
-    for u, row in enumerate(G.adj):
-        u_in = 2 * u
-        for v in row:
-            if u < v:
-                # u_out -> v_in, then v_out -> u_in, each with its reverse
-                e = len(head)
-                head += (2 * v, u_in + 1, u_in, 2 * v + 1)
-                cap += (big, 0, big, 0)
-                out[u_in + 1].append(e)
-                out[2 * v].append(e + 1)
-                out[2 * v + 1].append(e + 2)
-                out[u_in].append(e + 3)
-    for a in A:
-        out[source].append(len(head))
-        out[2 * a].append(len(head) + 1)
-        head += (2 * a, source)
-        cap += (big, 0)
+    n, adj = G.n, G.adj
+    unused, end, source = -1, -2, n  # end: pred from the source, succ to the sink
+    pred, succ = [unused] * n, [unused] * n
+    in_B = [False] * n
     for b in B:
-        out[2 * b + 1].append(len(head))
-        out[sink].append(len(head) + 1)
-        head += (sink, 2 * b + 1)
-        cap += (big, 0)
-    orig = cap[:]  # the flow on arc e is orig[e] - cap[e]
+        in_B[b] = True
 
     flow = 0
     while flow < len(A):
-        # BFS for an augmenting path; prev[y] is the arc that reached y
-        prev = [-1] * (2 * n + 2)
-        prev[source] = -2
+        # Every arc joins an in node and an out node, so the BFS runs in
+        # alternating layers, and following an in node's one arc as soon
+        # as the node is reached keeps the out nodes in BFS order.  The
+        # queue holds out nodes (and the source); reach_in[w] is the out
+        # node whose arc reached w_in, reach_out[y] the in node whose arc
+        # reached y_out.
+        reach_in, reach_out = [-1] * n, [-1] * n
         queue = [source]
-        for x in queue:
-            for e in out[x]:
-                if cap[e]:
-                    y = head[e]
-                    if prev[y] == -1:
-                        prev[y] = e
+        # the first b_out reached: in FIFO order it is also the first
+        # whose sink arc a BFS would take, so the search stops there
+        last = -1
+        for u in queue:
+            if u == source:
+                ins = A
+            elif pred[u] == unused:
+                ins = adj[u]
+            else:  # the reverse arc u_out -> u_in comes first
+                ins = (u, *adj[u])
+            for w in ins:
+                if reach_in[w] == -1:
+                    reach_in[w] = u
+                    p = pred[w]
+                    if p == end:  # w_in's arc leads back to the source
+                        continue
+                    y = w if p == unused else p
+                    if reach_out[y] == -1:
+                        reach_out[y] = w
+                        if in_B[y]:
+                            last = y
+                            break
                         queue.append(y)
-            if prev[sink] != -1:
-                break
-        else:  # no augmenting path
+            else:
+                continue
             break
-        x = sink
-        while x != source:
-            e = prev[x]
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-            x = head[e ^ 1]
+        if last == -1:  # no augmenting path
+            break
+        # Walk the path back from the sink.  An arc into an out node changes
+        # no pointer.  An arc u_out -> w_in sends w's unit on from u, or,
+        # when u = w, cancels w's unit altogether.
+        succ[last] = end
+        y = last
+        while True:
+            w = reach_out[y]
+            u = reach_in[w]
+            if u == source:
+                pred[w] = end
+                break
+            if u == w:
+                pred[w] = succ[w] = unused
+            else:
+                succ[u], pred[w] = w, u
+            y = u
         flow += 1
 
     if flow == len(A):
-        # an arc carries flow iff its residual capacity dropped below the
-        # original; unit vertex capacity leaves each used v_out exactly one
-        # such arc, so the walk is deterministic
         paths = []
-        for a, e in zip(A, out[source]):
-            assert orig[e] - cap[e] > 0
+        for a in A:
+            assert pred[a] == end
             path = [a]
-            x = 2 * a + 1
-            while True:
-                y = head[next(f for f in out[x] if orig[f] > cap[f])]
-                if y == sink:
-                    break
-                path.append(y >> 1)
-                x = y + 1
+            while succ[path[-1]] != end:
+                path.append(succ[path[-1]])
             paths.append(tuple(path))
         return Linkage(tuple(paths))
 
     # min cut: the last, failed BFS marked the residual-reachable set
-    cut = {v for v in range(n) if prev[2 * v] != -1 and prev[2 * v + 1] == -1}
-    left = {v for v in range(n) if prev[2 * v] != -1 or prev[2 * v + 1] != -1}
+    cut = {v for v in range(n) if reach_in[v] != -1 and reach_out[v] == -1}
+    left = {v for v in range(n) if reach_in[v] != -1 or reach_out[v] != -1}
     right = (set(range(n)) - left) | cut
     sep = Separation(vset(left), vset(right))
     sep.validate(G)

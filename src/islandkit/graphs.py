@@ -300,19 +300,28 @@ def components_within(G: Graph, S: Iterable[int]) -> list[tuple[int, ...]]:
     ]
 
 
-def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Relabeled subgraph on S plus the old-id -> new-id mapping."""
-    members = checked_vset(G, S)
+def induced_rows(
+    G: Graph, members: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+    """The adjacency rows of G[members] relabelled to range(len(members)),
+    plus the old-id -> new-id mapping.  members must be ascending, without
+    repeats, and in range(G.n); checked_vset gives such a sequence."""
     relabel = {v: i for i, v in enumerate(members)}
     k = len(members)
     # Relabelling keeps vertex order, so filtered sorted rows stay sorted.
-    # A row longer than |S| is probed by bisection, member by member.
+    # A row longer than the member list is probed by bisection, member by member.
     rows = tuple(
-        tuple(relabel[v] for v in G.adj[u] if v in relabel)
+        tuple([relabel[v] for v in G.adj[u] if v in relabel])
         if len(G.adj[u]) <= k
-        else tuple(i for i, v in enumerate(members) if G.has_edge(u, v))
+        else tuple([i for i, v in enumerate(members) if G.has_edge(u, v)])
         for u in members
     )
+    return rows, relabel
+
+
+def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+    """Relabeled subgraph on S plus the old-id -> new-id mapping."""
+    rows, relabel = induced_rows(G, checked_vset(G, S))
     return Graph._from_adj(rows, sum(map(len, rows)) // 2), relabel
 
 

@@ -32,6 +32,7 @@ from .graphs import (
     Separation,
     gen_complete_bipartite,
     gen_fan,
+    induced_rows,
     induced_subgraph,
     reach,
     verify_minor_model,
@@ -172,8 +173,10 @@ def _bag_linkage(
     G: Graph, P: PathDecomposition, z: int, memo: dict | None = None
 ) -> Linkage | Separation:
     """Linkage (or a broken-bag separation) of the internal bag z, in
-    original vertex ids.  memo maps (adjacency, A, B) of a relabelled bag
-    to its find_linkage result, so bags of one shape share one flow."""
+    original vertex ids.  memo maps a relabelled bag's (rows, A, B) to its
+    find_linkage result, so bags of one shape share one flow.  The key is
+    built from the bag's relabelled adjacency rows; the bag is copied into
+    a Graph only on a miss, for the flow itself."""
     if memo is None:
         memo = {}
     left, right = P.boundaries[z - 1], P.boundaries[z]
@@ -182,13 +185,14 @@ def _bag_linkage(
             f"bag {z} has unequal boundaries ({len(left)} vs {len(right)})"
         )
     members = vset(P.bags[z])
-    sub, relabel = induced_subgraph(G, members)
-    key = (sub.adj, tuple(relabel[v] for v in left), tuple(relabel[v] for v in right))
+    rows, relabel = induced_rows(G, members)
+    key = (rows, tuple([relabel[v] for v in left]), tuple([relabel[v] for v in right]))
     res = memo.get(key)
     if res is None:
+        sub, _ = induced_subgraph(G, members)
         res = memo[key] = find_linkage(sub, key[1], key[2])
     if isinstance(res, Linkage):
-        return Linkage(tuple(tuple(members[v] for v in p) for p in res.paths))
+        return Linkage(tuple([tuple([members[v] for v in p]) for p in res.paths]))
     return Separation(
         vset(members[v] for v in res.left), vset(members[v] for v in res.right)
     )
@@ -463,10 +467,12 @@ def make_large_interiors(G: Graph, P: PathDecomposition) -> TransformResult:
     G once, at entry; the result is left to the next stage to validate."""
     _require_valid(G, P, PathDecomposition, "make_large_interiors")
     if not P.proper:
-        raise AuditError("input decomposition is not proper")
+        raise AuditError("make_large_interiors: input decomposition is not proper")
     verdict = audit_appearance_universal(P)
     if not verdict.ok:
-        raise AuditError(f"input is not appearance-universal: {verdict.violation}")
+        raise AuditError(
+            f"make_large_interiors: input is not appearance-universal: {verdict.violation}"
+        )
     blocks = [(s, min(s + 2, P.order - 1)) for s in range(0, P.order, 3)]
     result = coarsen_by_blocks(P, blocks)
     verify_coarsening(P, result, blocks)

@@ -717,3 +717,66 @@ class TestLinkage:
         A = data.draw(st.permutations(range(sub.n)))[:k]
         B = data.draw(st.permutations(range(sub.n)))[:k]
         assert find_linkage(sub, A, B) == reference_find_linkage(sub, A, B)
+
+
+@st.composite
+def larger_linkage_instances(draw):
+    """A sparse graph on 20 to 60 vertices and equal-size, possibly
+    overlapping ends of at most 8 vertices."""
+    n = draw(st.integers(min_value=20, max_value=60))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        min_size=n, max_size=3 * n,
+    ))
+    G = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    k = draw(st.integers(min_value=0, max_value=8))
+    A = draw(st.permutations(range(n)))[:k]
+    B = draw(st.permutations(range(n)))[:k]
+    return G, A, B
+
+
+class TestLinkageAtBenchScale:
+    """find_linkage against the reference kernel on inputs the size of a
+    surgery-chains bag, including ones where later augmenting paths undo
+    earlier ones."""
+
+    GRID = gen_triangulated_grid(15, 45)
+
+    def test_grid_linkage_cancels_flow(self):
+        # the later augmenting paths cross 10 reverse arcs, cancelling flow
+        A = (2, 104, 234, 272, 325, 456, 605, 622)
+        B = (9, 22, 26, 31, 221, 390, 554, 665)
+        res = find_linkage(self.GRID, A, B)
+        assert isinstance(res, Linkage)
+        assert res == reference_find_linkage(self.GRID, A, B)
+
+    def test_grid_linkage_frees_a_vertex(self):
+        # one augmenting path cancels vertex 478's unit altogether; the
+        # later BFSes must see 478 as unused again
+        A = (126, 134, 141, 173, 268, 322, 337, 477)
+        B = (184, 239, 315, 437, 479, 542, 567, 632)
+        res = find_linkage(self.GRID, A, B)
+        assert isinstance(res, Linkage)
+        assert res == reference_find_linkage(self.GRID, A, B)
+
+    def test_grid_corner_patch_is_separated(self):
+        A = [i * 45 + 44 for i in range(15)]  # the last column
+        B = [i * 45 + j for i in range(3) for j in range(5)]  # a 3x5 corner patch
+        res = find_linkage(self.GRID, A, B)
+        assert isinstance(res, Separation)
+        assert res == reference_find_linkage(self.GRID, A, B)
+
+    def test_second_path_undoes_the_first(self):
+        # the first augmenting path 0-2-3-4 takes 3, the only way on from
+        # 1-8; the second runs 1-8-3, back over 3-2-0, and on by 5-6-7,
+        # so 2 carries no path at the end
+        G = Graph(9, [(0, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (1, 8), (3, 8)])
+        res = find_linkage(G, (0, 1), (4, 7))
+        assert res == Linkage(((0, 5, 6, 7), (1, 8, 3, 4)))
+        assert res == reference_find_linkage(G, (0, 1), (4, 7))
+
+    @given(larger_linkage_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_kernel(self, inst):
+        G, A, B = inst
+        assert find_linkage(G, A, B) == reference_find_linkage(G, A, B)

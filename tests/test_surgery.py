@@ -257,6 +257,27 @@ class TestLargeInteriors:
         with pytest.raises(AuditError):
             make_large_interiors(Graph(10, []), P)
 
+    def test_improper_input_names_the_stage(self):
+        P = PathDecomposition(((0, 1), (1, 2), (2, 3), (2, 3)))
+        with pytest.raises(
+            AuditError, match="^make_large_interiors: input decomposition is not proper$"
+        ):
+            make_large_interiors(gen_path(4), P)
+
+    def test_not_appearance_universal_names_the_stage(self):
+        bags = [vset([i, i + 1]) for i in range(8)]
+        bags = [
+            vset(set(b) | {9}) if 2 <= i <= 6 else b for i, b in enumerate(bags)
+        ]
+        P = PathDecomposition(tuple(bags))
+        assert P.proper
+        violation = audit_appearance_universal(P).violation
+        with pytest.raises(AuditError) as err:
+            make_large_interiors(Graph(10, []), P)
+        assert str(err.value) == (
+            f"make_large_interiors: input is not appearance-universal: {violation}"
+        )
+
     def test_internal_vertices_found(self):
         G = gen_fan(1, 12)
         P = fan_decomposition(12, 12)
@@ -470,6 +491,30 @@ class TestOneLinkagePerBag:
         result = island_or_minor(G, li, t=2, m=3, l=2)
         assert result.kind == ("minor" if kind == "fan" else "islands")
         assert len(calls) == len(linkage_keys(G, li)) < li.order - 2
+
+
+class TestOneCopyPerFlow:
+    """bag_linkages keys its memo on each bag's relabelled rows and copies a
+    bag into a Graph only for a flow it runs."""
+
+    @pytest.mark.parametrize("kind", ["fan", "ladder"])
+    def test_copies_equal_flows(self, monkeypatch, kind):
+        if kind == "fan":
+            G, P = gen_fan(1, 40), fan_decomposition(40, 40)
+        else:
+            G, P = ladder(20), ladder_decomposition(20)
+        calls = {"induced_subgraph": 0, "find_linkage": 0}
+        for name in calls:
+            real = getattr(surgery, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(surgery, name, counted)
+        assert bag_linkages(G, P) == reference_bag_linkages(G, P)
+        assert calls["induced_subgraph"] == calls["find_linkage"] == len(linkage_keys(G, P))
+        assert calls["find_linkage"] < P.order - 2
 
 
 def reference_bag_linkages(G: Graph, P: PathDecomposition) -> dict:
