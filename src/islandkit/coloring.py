@@ -232,30 +232,6 @@ def greedy_palette_for_clustering(G: Graph, C: int, cap: int = 20) -> int:
             t += 1
 
 
-def two_part_coloring(
-    G: Graph,
-    partition: tuple[Sequence[int], Sequence[int]],
-    t: int,
-    island_finder: IslandFinder,
-) -> ClusteredColoring:
-    """Color the two parts with disjoint palettes 0..t-1 and t..2t-1, so
-    monochromatic components never cross the partition."""
-    part1, part2 = vset(partition[0]), vset(partition[1])
-    if set(part1) & set(part2) or set(part1) | set(part2) != set(range(G.n)):
-        raise ValueError("parts must partition V(G)")
-    colors = [-1] * G.n
-    clustering = 0
-    for offset, part in ((0, part1), (t, part2)):
-        if not part:
-            continue
-        sub, _ = induced_subgraph(G, part)
-        col, _ = greedy_clustered_coloring(sub, t, island_finder)
-        clustering = max(clustering, col.achieved_clustering)
-        for local, c in enumerate(col.colors):
-            colors[part[local]] = c + offset
-    return ClusteredColoring(tuple(colors), 2 * t, clustering)
-
-
 def adversarial_list(
     t: int, C: int, target: str = "fan"
 ) -> tuple[Graph, ListAssignment, int]:

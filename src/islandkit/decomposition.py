@@ -6,7 +6,7 @@ tree-decomposition builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from types import MappingProxyType
@@ -404,7 +404,7 @@ def _decomposition_from_order(G: Graph, order: Sequence[int]) -> TreeDecompositi
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 
-def treewidth_decomposition(G: Graph, k: int | None = None) -> TreeDecomposition:
+def treewidth_decomposition(G: Graph) -> TreeDecomposition:
     """Tree decomposition via the min-fill heuristic.
 
     Each step eliminates the alive vertex with the fewest missing edges
@@ -417,12 +417,6 @@ def treewidth_decomposition(G: Graph, k: int | None = None) -> TreeDecomposition
     inner[v], the number of edges among v's d alive neighbours, and inner
     is kept up to date edge by edge rather than recounted (Bodlaender and
     Koster, Treewidth computations I, 2010).
-
-    If a width bound k is given and missed on a graph of at most 11
-    vertices, let w be the least width >= k that some elimination order
-    reaches.  Unless min-fill already reaches w, the result is the tree of
-    the lexicographically first order of width <= w, found by dynamic
-    programming over eliminated vertex sets (Bodlaender et al., 2012).
     """
     if G.n == 0:
         return TreeDecomposition(((),), ())
@@ -464,34 +458,7 @@ def treewidth_decomposition(G: Graph, k: int | None = None) -> TreeDecomposition
             if s != score[u]:
                 score[u] = s
                 heappush(heap, (s, u))
-    td = _decomposition_from_order(G, order)
-    if k is None or td.width <= k or G.n > 11:
-        return td
-    n, full, masks = G.n, (1 << G.n) - 1, G.neighbor_masks
-
-    def fits(S: int, v: int, w: int) -> bool:
-        # eliminating v after the set S leaves Q(S, v), the vertices outside
-        # S | {v} that v reaches through S, as its later neighbours; it fits
-        # if |Q(S, v)| <= w and an order of width <= w can eliminate the rest
-        seen, todo = 1 << v, [v]
-        while todo:
-            new = masks[todo.pop()] & ~seen
-            seen |= new
-            todo.extend(u for u in range(n) if (new & S) >> u & 1)
-        return (seen & ~S).bit_count() - 1 <= w and done(S | 1 << v, w)
-
-    @cache
-    def done(S: int, w: int) -> bool:
-        return S == full or any(fits(S, v, w) for v in range(n) if not S >> v & 1)
-
-    w = next((w for w in range(k, td.width) if done(0, w)), None)
-    if w is None:
-        return td
-    S, best = 0, []
-    while S != full:
-        best.append(next(v for v in range(n) if not S >> v & 1 and fits(S, v, w)))
-        S |= 1 << best[-1]
-    return _decomposition_from_order(G, best)
+    return _decomposition_from_order(G, order)
 
 
 def restore_properness(P: PathDecomposition) -> tuple[PathDecomposition, list[tuple[int, int]]]:

@@ -7,7 +7,6 @@ ascending so that every operation is deterministic and diffable.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -22,7 +21,8 @@ class GraphValidityError(ValueError):
 
 
 class GraphTooLarge(ValueError):
-    """Brute-force cap exceeded."""
+    """A size cap exceeded: a brute-force search's, or MAX_VERTICES in a
+    parsed document."""
 
 
 def as_fraction(x) -> Fraction:
@@ -149,6 +149,11 @@ class Graph:
 
 _ASCII_DIGITS = str.maketrans("", "", "0123456789")
 
+# The most vertices a parsed document may have.  The parser allocates one
+# adjacency row per vertex, so an id or a header n above this cap is
+# rejected by line before any row exists.
+MAX_VERTICES = 10**6
+
 
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document into a Graph.
@@ -164,7 +169,8 @@ def parse_graph(text: str) -> Graph:
     exactly "u v" (ASCII digits, one space, '\\n', the last newline
     optional), is read in one pass over the whole text, as write_graph's
     output is.  Everything else, every error included, is read by the
-    line parser, which names the offending line.
+    line parser, which names the offending line.  A vertex id >=
+    MAX_VERTICES, or a header n > MAX_VERTICES, is a GraphTooLarge error.
     """
     G = _parse_plain(text)
     return _parse_lines(text) if G is None else G
@@ -202,6 +208,8 @@ def _parse_plain(text: str) -> Graph | None:
         n, ids = hn, body_ids
     else:
         n = 1 + max(ids, default=-1)
+    if n > MAX_VERTICES:
+        return None  # the line parser names the line
 
     adj: list[list[int]] = [[] for _ in range(n)]
     pairs = iter(ids)
@@ -235,12 +243,19 @@ def _parse_lines(text: str) -> Graph:
             raise GraphParseError(f"line {lineno}: negative vertex id")
         rows.append((lineno, a, b))
 
-    _, hn, hm = rows[0] if rows else (0, 0, 0)
+    header, hn, hm = rows[0] if rows else (0, 0, 0)
     body = rows[1:]
     if hn >= 1 and hm == len(body) and all(a < hn and b < hn for _, a, b in body):
+        if hn > MAX_VERTICES:
+            raise GraphTooLarge(f"line {header}: header n={hn} > MAX_VERTICES={MAX_VERTICES}")
         n, rows = hn, body
     else:
         n = 1 + max((max(a, b) for _, a, b in rows), default=-1)
+        if n > MAX_VERTICES:
+            lineno, a, b = next(r for r in rows if max(r[1], r[2]) >= MAX_VERTICES)
+            raise GraphTooLarge(
+                f"line {lineno}: vertex id {max(a, b)} >= MAX_VERTICES={MAX_VERTICES}"
+            )
 
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]
     for lineno, a, b in rows:
@@ -342,27 +357,6 @@ def bfs_levels(G: Graph, S: Iterable[int]) -> list[tuple[int, ...]]:
             levels.append([])
         levels[d].append(v)
     return [tuple(sorted(level)) for level in levels]
-
-
-def girth(G: Graph) -> int | None:
-    """Length of a shortest cycle, or None if the graph is a forest."""
-    best: int | None = None
-    for s in range(G.n):
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in G.adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    parent[u] = v
-                    queue.append(u)
-                elif parent[v] != u:
-                    cycle = dist[v] + dist[u] + 1
-                    if best is None or cycle < best:
-                        best = cycle
-    return best
 
 
 # ---------------------------------------------------------------------------

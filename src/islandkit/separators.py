@@ -44,59 +44,11 @@ BALANCE_NUM, BALANCE_DEN = 2, 3  # the fixed 2/3 balance constant
 
 
 class SeparatorContractError(RuntimeError):
-    """An oracle's cut left its subset, was empty, over budget or unbalanced."""
+    """An oracle's cut left its subset, was empty or was unbalanced."""
 
 
 class ShatterBudgetError(RuntimeError):
     """No component bound in the candidate schedule met the epsilon budget."""
-
-
-@dataclass(frozen=True)
-class SeparatorBudget:
-    """A named non-decreasing order bound f for balanced separators.
-
-    Families: "constant" (f = c), "sqrt" (f = c*sqrt(n)) and
-    "n_over_log2" (f = c*n/log^2 n).  The last two are significantly
-    sublinear: the sum of f((3/2)^i)/(3/2)^i converges.
-    """
-
-    family: str
-    coeff: float = 1.0
-
-    def __post_init__(self):
-        if self.family not in ("constant", "sqrt", "n_over_log2"):
-            raise ValueError(f"unknown budget family {self.family!r}")
-        if not 0 < self.coeff < math.inf:
-            raise ValueError(f"budget coefficient must be positive and finite, got {self.coeff}")
-
-    def f(self, n: int) -> int:
-        if n <= 1 or self.family == "constant":
-            return math.ceil(self.coeff)
-        if self.family == "sqrt":
-            return math.ceil(self.coeff * math.sqrt(n))
-        return math.ceil(self.coeff * n / math.log(n) ** 2)
-
-    def tail_sum(self, i0: int) -> float:
-        """Upper bound on sum_{i >= i0} f((3/2)^i)/(3/2)^i."""
-        if self.family == "constant":  # geometric with ratio 1/1.5
-            return self.coeff / 1.5**i0 / (1 - 1 / 1.5)
-        if self.family == "sqrt":  # geometric with ratio 1/sqrt(1.5)
-            return self.coeff / math.sqrt(1.5**i0) / (1 - 1 / math.sqrt(1.5))
-        # quadratic decay: sum_{i>=i0} c/(i ln 1.5)^2 <= c/ln(1.5)^2 * 1/(i0-1)
-        i0 = max(i0, 2)
-        return self.coeff / math.log(1.5) ** 2 / (i0 - 1)
-
-    def component_bound(self, epsilon) -> int:
-        """C = ceil((3/2)^i0) for the least i0 whose tail sum drops below
-        (2/3) * epsilon, mirroring the shattering proof."""
-        eps = float(as_fraction(epsilon))
-        target = eps * BALANCE_NUM / BALANCE_DEN
-        i0 = 0
-        while self.tail_sum(i0) > target:
-            i0 += 1
-            if i0 > 10_000:
-                raise ShatterBudgetError("budget family tail sum converges too slowly")
-        return math.ceil(1.5**i0)
 
 
 def _fits(part: int, n: int) -> bool:
@@ -213,15 +165,15 @@ _TreeNode = tuple[int, int, tuple[int, ...]]
 
 
 def _cut_node(
-    G: Graph, subset: tuple[int, ...], oracle: SeparatorOracle, budget: SeparatorBudget | None
+    G: Graph, subset: tuple[int, ...], oracle: SeparatorOracle
 ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """The oracle's cut of a connected, sorted subset and the parts of
     G[subset] - cut, after checking the cut on those parts: it lies in the
-    subset, is non-empty and within budget, and no part exceeds 2/3 of the
-    subset.  Parts summing to at most n split into two groups of at most
-    2n/3 each exactly when the largest part is at most 2n/3 (a part of at
-    least n/3 goes alone; smaller parts fill one group up to n/3), so that
-    is the whole balance condition."""
+    subset, is non-empty, and no part exceeds 2/3 of the subset.  Parts
+    summing to at most n split into two groups of at most 2n/3 each exactly
+    when the largest part is at most 2n/3 (a part of at least n/3 goes
+    alone; smaller parts fill one group up to n/3), so that is the whole
+    balance condition."""
     cut = vset(oracle(G, subset))
     rest = set(subset).difference(cut)
     size = len(subset)
@@ -231,10 +183,6 @@ def _cut_node(
     if not cut:
         raise SeparatorContractError(
             f"oracle returned an empty cut for a connected subgraph at {node}"
-        )
-    if budget is not None and len(cut) > budget.f(size):
-        raise SeparatorContractError(
-            f"oracle exceeded budget f({size})={budget.f(size)} at {node}"
         )
     parts = components_within(G, rest)
     if not _fits(max(map(len, parts), default=0), size):
@@ -247,7 +195,6 @@ def _shatter_tree(
     candidates: list[int],
     allowed: Fraction,
     oracle: SeparatorOracle,
-    budget: SeparatorBudget | None,
 ) -> tuple[int, list[_TreeNode]]:
     """Choose C among the ascending candidates, growing the recursion tree
     only as far as that needs; returns C and the tree in discovery order.
@@ -274,7 +221,7 @@ def _shatter_tree(
     for C in reversed(candidates):
         while heap and -heap[0][0] > C and (total <= allowed or C == largest):
             _, node, subset = heapq.heappop(heap)
-            cut, parts = _cut_node(G, subset, oracle, budget)
+            cut, parts = _cut_node(G, subset, oracle)
             tree[node] = (tree[node][0], len(subset), cut)
             total += len(cut)
             for comp in parts:
@@ -321,22 +268,15 @@ def verify_shatter(G: Graph, X, C: int, epsilon) -> None:
             raise ShatterBudgetError(f"component of size {len(comp)} exceeds C={C}")
 
 
-DOUBLINGS = 20  # length of the budget-free candidate schedule c0, 2c0, 4c0, ...
+DOUBLINGS = 20  # length of the candidate schedule c0, 2c0, 4c0, ...
 
 
-def shatter(
-    G: Graph,
-    epsilon,
-    oracle: SeparatorOracle,
-    budget: SeparatorBudget | None = None,
-) -> ShatterReport:
+def shatter(G: Graph, epsilon, oracle: SeparatorOracle) -> ShatterReport:
     """Remove X with |X| <= epsilon*n so all components of G - X have <= C
     vertices.
 
-    With a provable budget, C comes from the budget's tail sum (as in the
-    proof) and any oracle violation is an error.  Without one, C is the
-    first of c0 = max(2, ceil(sqrt n)), 2c0, 4c0, ... that meets the
-    epsilon budget.
+    C is the first of c0 = max(2, ceil(sqrt n)), 2c0, 4c0, ... that meets
+    the epsilon budget; an oracle cut that breaks its contract is an error.
 
     The oracle is deterministic, so a node's cut and children depend only
     on its vertex set, and the tree at bound C is one tree cut off at nodes
@@ -352,12 +292,9 @@ def shatter(
         raise ValueError("epsilon must be positive")
     if G.n == 0:
         return ShatterReport((), 0, ())
-    if budget is not None:
-        candidates = [budget.component_bound(eps)]
-    else:
-        c0 = max(2, math.ceil(math.sqrt(G.n)))
-        candidates = [c0 << i for i in range(DOUBLINGS)]
-    C, tree = _shatter_tree(G, candidates, eps * G.n, oracle, budget)
+    c0 = max(2, math.ceil(math.sqrt(G.n)))
+    candidates = [c0 << i for i in range(DOUBLINGS)]
+    C, tree = _shatter_tree(G, candidates, eps * G.n, oracle)
     X_set, trace = _truncate(tree, C)
     try:
         verify_shatter(G, X_set, C, eps)

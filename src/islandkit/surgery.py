@@ -2,15 +2,16 @@
 appearance-universality, large interiors, extended bags, and the
 island-or-minor extraction.
 
-The constructions run on any input and report the order they achieve;
-the quantitative guarantees of the underlying theory only kick in above
-astronomically large thresholds (see ConstantSchedule), which desk-scale
-runs report honestly instead of pretending to meet.
+The constructions run on any input and report the order they achieve.
+The quantitative guarantees of the underlying theory only kick in above
+astronomically large thresholds: for width bound k the order the theorem
+demands grows like a constant to the power (k+2)**2, and its clustering
+constant is (k+1) times that order raised to itself.  Desk-scale runs report falling short honestly
+("order too small") instead of pretending to meet them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Sequence
@@ -23,7 +24,6 @@ from .decomposition import (
     find_linkage,
     require_kind,
     restore_properness,
-    treewidth_decomposition,
     validate_decomposition,
 )
 from .graphs import (
@@ -696,187 +696,3 @@ def _build_minor(
     if not mv.ok:
         raise AuditError(f"fan model failed verification: {mv.violation} ({mv.detail})")
     return IslandOrMinorResult("minor", minor_of="fan", model=model, minor_host=H)
-
-
-# ---------------------------------------------------------------------------
-# constant schedule and the bounded-treewidth pipeline
-# ---------------------------------------------------------------------------
-
-def f_link(p: int, n: int) -> int:
-    """Order that must survive the linkedness surgery at adhesion p to
-    leave n bags: f(0, n) = n and
-    f(p, n) = f(p-1, n) + (f(p-1, n) - 2) * (n - 1) - 1."""
-    if p < 0 or n < 1:
-        raise ValueError("need p >= 0 and n >= 1")
-    value = n
-    for _ in range(p):
-        value = value + (value - 2) * (n - 1) - 1
-    return value
-
-
-@dataclass(frozen=True)
-class ConstantSchedule:
-    """The exact cascade of orders the theory demands, computed with big
-    integers; the clustering constant C is kept symbolically because it
-    cannot be materialized for any nontrivial parameters."""
-
-    k: int
-    n4: int
-    n3: int
-    n2: int
-    n1: int
-    log10_C: float
-
-    @classmethod
-    def from_params(cls, k: int, n4: int) -> "ConstantSchedule":
-        if k < 1 or n4 < 1:
-            raise ValueError("need k >= 1 and n4 >= 1")
-        n3 = 3 * n4
-        n2 = n3 ** (k + 2)
-        n1 = f_link(k + 1, n2)
-        log10_C = math.log10(k + 1) + n1 * math.log10(n1)
-        return cls(k=k, n4=n4, n3=n3, n2=n2, n1=n1, log10_C=log10_C)
-
-    def C_exceeds(self, x: int) -> bool:
-        """Whether the clustering constant C = (k+1) * n1**n1 exceeds x."""
-        if x < 1:
-            return True
-        return self.log10_C > math.log10(x) + 1e-9 or (
-            self.n1 <= 4 and (self.k + 1) * self.n1**self.n1 > x
-        )
-
-    def describe(self) -> dict:
-        return {
-            "k": self.k,
-            "n4": self.n4,
-            "n3": self.n3,
-            "n2": str(self.n2),
-            "n1": str(self.n1) if self.n1 < 10**40 else f"~1e{len(str(self.n1)) - 1}",
-            "log10_C": self.log10_C,
-        }
-
-
-@dataclass(frozen=True)
-class BoundedTwResult:
-    kind: str  # "island" | "minor" | "constants_not_met"
-    island: IslandCertificate | None = None
-    minor_of: str | None = None
-    model: MinorModel | None = None
-    minor_host: Graph | None = None
-    report: dict = field(default_factory=dict)
-
-
-def bounded_tw_island(
-    G: Graph,
-    k: int,
-    S: Sequence[int],
-    t: int,
-    m: int,
-    l: int | None = None,
-    schedule: ConstantSchedule | None = None,
-    _depth: int = 0,
-) -> BoundedTwResult:
-    """Full pipeline on a graph of treewidth < k+1: tree decomposition ->
-    path -> linked -> appearance-universal -> large interiors ->
-    island-or-minor, with a recursion step when every island in the
-    window meets the forbidden set S.
-
-    Returns a certified t-island disjoint from S, a verified minor model,
-    or an honest constants report stating which stage fell short of the
-    schedule's demands.
-    """
-    S = set(S)
-    if l is None:
-        l = 4 * k + 6
-    decomposition = treewidth_decomposition(G, k)
-    if decomposition.width > k:
-        raise AuditError(
-            f"decomposition width {decomposition.width} exceeds k={k}"
-        )
-    report: dict = {"n": G.n, "k": k, "t": t, "m": m, "l": l, "depth": _depth}
-    if schedule is not None:
-        report["schedule"] = schedule.describe()
-    stage = tree_to_path(G, decomposition)
-    report["path_order"] = stage.decomposition.order
-    linked = make_linked(G, stage.decomposition)
-    report["linked_order"] = linked.decomposition.order
-    appuniv = make_appearance_universal(G, linked.decomposition)
-    report["appearance_universal_order"] = appuniv.decomposition.order
-    interiors = make_large_interiors(G, appuniv.decomposition)
-    report["large_interiors_order"] = interiors.decomposition.order
-    if schedule is not None:
-        report["schedule_met"] = {
-            "path_order >= n1": stage.decomposition.order >= schedule.n1,
-            "linked_order >= n2": linked.decomposition.order >= schedule.n2,
-            "large_interiors_order >= n4": interiors.decomposition.order >= schedule.n4,
-        }
-    result = island_or_minor(G, interiors.decomposition, t, m, l)
-    if result.kind == "minor":
-        return BoundedTwResult(
-            "minor",
-            minor_of=result.minor_of,
-            model=result.model,
-            minor_host=result.minor_host,
-            report=report,
-        )
-    if result.kind == "islands":
-        P = interiors.decomposition
-        for cert in result.certificates:
-            if not set(cert.members) & S:
-                report["window"] = list(result.window)
-                return BoundedTwResult("island", island=cert, report=report)
-        # every island in the window meets S: cut the first half of the
-        # window away and recurse on the remainder against the boundary
-        if _depth >= 20:
-            report["note"] = "recursion depth exhausted"
-            return BoundedTwResult("constants_not_met", report=report)
-        half = set(result.window[: max(1, len(result.window) // 2)])
-        X: set[int] = set()
-        for z in half:
-            X.update(P.bags[z])
-        Y: set[int] = set()
-        for z in range(P.order):
-            if z not in half:
-                Y.update(P.bags[z])
-        removed = X - Y
-        if not removed:
-            report["note"] = "recursion made no progress"
-            return BoundedTwResult("constants_not_met", report=report)
-        ys = vset(Y)
-        sub, relabel = induced_subgraph(G, ys)
-        S_sub = sorted(
-            relabel[v] for v in ((S & Y) | (X & Y))
-        )
-        inner = bounded_tw_island(
-            sub, k, S_sub, t, m, l=l, schedule=schedule, _depth=_depth + 1
-        )
-        report["recursed_on"] = len(Y)
-        report["inner_report"] = inner.report
-        if inner.kind == "island":
-            members = vset(ys[v] for v in inner.island.members)
-            check = is_island(G, members, t)
-            if not check.ok:
-                raise AuditError("recursed island failed re-certification in the host")
-            if set(members) & S:
-                raise AuditError("recursed island meets the forbidden set")
-            return BoundedTwResult("island", island=check.certificate, report=report)
-        if inner.kind == "minor":
-            model = MinorModel(
-                {
-                    h: vset(ys[v] for v in bs)
-                    for h, bs in inner.model.branch_sets.items()
-                }
-            )
-            mv = verify_minor_model(G, inner.minor_host, model)
-            if not mv.ok:
-                raise AuditError(f"lifted minor model failed: {mv.violation}")
-            return BoundedTwResult(
-                "minor",
-                minor_of=inner.minor_of,
-                model=model,
-                minor_host=inner.minor_host,
-                report=report,
-            )
-        return BoundedTwResult("constants_not_met", report=report)
-    report["note"] = result.note
-    return BoundedTwResult("constants_not_met", report=report)

@@ -11,7 +11,6 @@ from islandkit.coloring import (
     greedy_clustered_list_coloring,
     greedy_palette_for_clustering,
     monochromatic_components,
-    two_part_coloring,
     verify_coloring,
     verify_no_good_list_coloring,
 )
@@ -130,15 +129,6 @@ class TestOracle:
         G = gen_cycle(7)
         t = greedy_palette_for_clustering(G, 2)
         assert chi_C_bruteforce(G, 2) <= t
-
-
-class TestTwoPart:
-    def test_disjoint_palettes(self):
-        G = gen_path(6)
-        col = two_part_coloring(G, ((0, 1, 2), (3, 4, 5)), 2, brute_finder)
-        left = {col.colors[v] for v in (0, 1, 2)}
-        right = {col.colors[v] for v in (3, 4, 5)}
-        assert left <= {0, 1} and right <= {2, 3}
 
 
 class TestAdversarial:

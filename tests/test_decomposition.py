@@ -393,21 +393,6 @@ def reference_min_fill(G: Graph) -> TreeDecomposition:
     return _decomposition_from_order(G, order)
 
 
-def reference_treewidth(G: Graph, k) -> TreeDecomposition:
-    """Min-fill, then the full scan of every ordering with no lower bound."""
-    td = reference_min_fill(G)
-    if k is None or td.width <= k or G.n > 11:
-        return td
-    best = td
-    for perm in itertools.permutations(range(G.n)):
-        cand = _decomposition_from_order(G, perm)
-        if cand.width < best.width:
-            best = cand
-            if best.width <= k:
-                return best
-    return best
-
-
 MIN_FILL_INPUTS = st.one_of(
     graphs(max_n=12, min_n=0),
     st.integers(1, 60).map(gen_path),
@@ -421,71 +406,12 @@ MIN_FILL_INPUTS = st.one_of(
 )
 
 
-@pytest.fixture
-def orderings(monkeypatch):
-    """Every ordering treewidth_decomposition hands to _decomposition_from_order."""
-    calls = []
-    real = decomposition._decomposition_from_order
-
-    def counted(G, order):
-        calls.append(order)
-        return real(G, order)
-
-    monkeypatch.setattr(decomposition, "_decomposition_from_order", counted)
-    return calls
-
-
 class TestMinFillHeap:
     @example(gen_triangulated_grid(15, 45))  # the bench's min-fill input
     @given(MIN_FILL_INPUTS)
     @settings(max_examples=150, deadline=None)
     def test_matches_full_rescan(self, G):
         assert treewidth_decomposition(G) == reference_min_fill(G)
-
-    # min-fill gives width 5 on this 3-degenerate graph of treewidth 4
-    @example(Graph(7, [(0, 1), (0, 3), (0, 6), (1, 2), (1, 4), (1, 5), (2, 3), (2, 4),
-                       (2, 5), (2, 6), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)]))
-    @given(graphs(max_n=6, min_n=0))
-    @settings(max_examples=40, deadline=None)
-    def test_fallback_matches_full_scan(self, G):
-        for k in range(G.n + 1):
-            assert treewidth_decomposition(G, k) == reference_treewidth(G, k)
-
-    def test_fallback_stops_at_the_degeneracy(self, orderings):
-        # C11 is 2-degenerate and min-fill gives width 2: no ordering is
-        # narrower, so the 11! scan for k=1 never starts
-        G = gen_cycle(11)
-        expected = treewidth_decomposition(G)
-        orderings.clear()
-        assert treewidth_decomposition(G, 1) == expected
-        assert len(orderings) <= 1
-
-    def test_fallback_scan_stops_when_it_reaches_the_degeneracy(self, orderings):
-        # 2-degenerate, treewidth 2, min-fill width 3: for k=1 the full scan
-        # would keep its first width-2 tree, which the k=2 scan returns
-        G = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 6), (1, 7), (2, 7),
-                      (3, 6), (4, 5), (5, 7)])
-        assert treewidth_decomposition(G).width == 3
-        orderings.clear()
-        T = treewidth_decomposition(G, 1)
-        assert T == reference_treewidth(G, 2) and T.width == 2
-        assert len(orderings) < 40320
-
-    def test_exact_fallback_on_eleven_vertices(self, orderings):
-        # 3-degenerate, treewidth 4, min-fill width 5, vertex 1 isolated; the
-        # lexicographically first width-4 order is about 4 million orders
-        # into the 11! permutations
-        G = Graph(11, [(0, 4), (0, 6), (0, 10), (2, 6), (2, 7), (2, 9), (3, 4), (3, 6),
-                       (3, 7), (3, 8), (3, 9), (4, 7), (4, 9), (5, 8), (5, 9), (5, 10),
-                       (6, 7), (6, 9), (7, 10)])
-        assert treewidth_decomposition(G).width == 5
-        expected = _decomposition_from_order(G, (1, 2, 4, 5, 6, 0, 3, 7, 8, 9, 10))
-        for k in range(5):
-            orderings.clear()
-            T = treewidth_decomposition(G, k)
-            assert T == expected and T.width == 4
-            assert validate_decomposition(G, T).ok
-            assert len(orderings) <= 2
 
     def test_is_linear_on_a_long_path(self):
         # rescoring every alive vertex at every step runs ~n^2 lines

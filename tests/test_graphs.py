@@ -1,7 +1,7 @@
-import itertools
 import re
 import tracemalloc
 
+import networkx as nx
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -10,6 +10,7 @@ from islandkit import graphs as graphs_module
 from islandkit.graphs import (
     Graph,
     GraphParseError,
+    GraphTooLarge,
     GraphValidityError,
     MinorModel,
     Separation,
@@ -23,7 +24,6 @@ from islandkit.graphs import (
     gen_outerplanar_gadget,
     gen_path,
     gen_triangulated_grid,
-    girth,
     checked_vset,
     induced_subgraph,
     parse_graph,
@@ -209,6 +209,38 @@ class TestPlainFastPath:
         assert peaks[0] <= 0.6 * peaks[1], peaks
 
 
+class TestVertexCap:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1000000", "line 1: vertex id 1000000 >= MAX_VERTICES=1000000"),
+            ("# h\n2000000 0\n", "line 2: header n=2000000 > MAX_VERTICES=1000000"),
+        ],
+    )
+    def test_too_many_vertices_fail_by_line_before_allocating(self, text, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphTooLarge, match=f"^{re.escape(message)}$"):
+                parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
+    @pytest.mark.parametrize("parse", [parse_graph, _parse_lines])
+    def test_cap_is_inclusive_for_n_and_exclusive_for_ids(self, monkeypatch, parse):
+        monkeypatch.setattr(graphs_module, "MAX_VERTICES", 5)
+        assert parse("0 4\n").n == 5
+        assert parse("5 1\n0 1\n").n == 5
+        for text, message in [
+            ("0 5\n", "line 1: vertex id 5 "),
+            ("6 1\n0 1\n", "line 1: header n=6 "),
+            ("# c\n1 2\n7 0\n", "line 3: vertex id 7 "),
+        ]:
+            with pytest.raises(GraphTooLarge, match=f"^{message}"):
+                parse(text)
+
+
 def _reference_induced(G, S):
     """The subgraph on S through the checked constructor."""
     members = sorted(set(S))
@@ -266,7 +298,7 @@ class TestGenerators:
 
     def test_hex_grid_girth_and_degree(self):
         G = gen_hex_grid(3, 4)
-        assert girth(G) == 6
+        assert nx.girth(nx.Graph(list(G.edges()))) == 6
         assert max(G.degree(v) for v in G.vertices()) <= 3
 
     def test_outerplanar_gadget_counts(self):
@@ -275,27 +307,9 @@ class TestGenerators:
             assert G.n == 3 * (C + 1)
             assert G.m == 3 * C + 3 * (C + 1)
 
-    @given(graphs(max_n=7))
-    @settings(max_examples=40, deadline=None)
-    def test_girth_matches_exhaustive_cycle_search(self, G):
-        best = None
-        for k in range(3, G.n + 1):
-            for cyc in itertools.permutations(range(G.n), k):
-                if cyc[0] != min(cyc):
-                    continue
-                if all(
-                    G.has_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k)
-                ):
-                    best = k
-                    break
-            if best:
-                break
-        assert girth(G) == best
-
     def test_cycle_and_path(self):
         assert gen_cycle(5).m == 5
         assert gen_path(5).m == 4
-        assert girth(gen_path(9)) is None
 
 
 class TestValidate:

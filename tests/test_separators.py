@@ -16,7 +16,6 @@ from islandkit.graphs import (
     gen_triangulated_grid,
 )
 from islandkit.separators import (
-    SeparatorBudget,
     SeparatorContractError,
     ShatterBudgetError,
     _cut_node,
@@ -102,30 +101,6 @@ class TestBalancedSplitLemma:
         assert (reference_balanced_split(sizes, n) is None) == (3 * max(sizes) > 2 * n)
 
 
-class TestBudget:
-    def test_sqrt_budget_is_sublinear(self):
-        budget = SeparatorBudget("sqrt", 2)
-        assert budget.f(100) == 20
-
-    def test_component_bound_decreases_with_epsilon(self):
-        budget = SeparatorBudget("sqrt", 1)
-        assert budget.component_bound(0.5) <= budget.component_bound(0.05)
-
-    @pytest.mark.parametrize(
-        "family, coeff, message",
-        [
-            ("bogus", 1.0, "unknown budget family 'bogus'"),
-            ("sqrt", 0, "positive and finite"),
-            ("constant", -1.5, "positive and finite"),
-            ("n_over_log2", math.nan, "positive and finite"),
-            ("sqrt", math.inf, "positive and finite"),
-        ],
-    )
-    def test_bad_budget_rejected_at_construction(self, family, coeff, message):
-        with pytest.raises(ValueError, match=message):
-            SeparatorBudget(family, coeff)
-
-
 class TestShatter:
     def test_path_within_budget(self):
         G = gen_path(100)
@@ -158,13 +133,6 @@ class TestShatter:
         from islandkit.graphs import components_within
 
         assert all(len(c) <= report.C for c in components_within(G, remaining))
-
-    def test_unmeetable_budget_fails_honestly(self):
-        # a constant-1 separator budget is a promise K_{8,8} cannot keep
-        G = gen_complete_bipartite(8, 8)
-        budget = SeparatorBudget("constant", 1)
-        with pytest.raises((ShatterBudgetError, SeparatorContractError)):
-            shatter(G, 0.9, bfs_level_separator, budget=budget)
 
     def test_bounded_degree_random_graphs(self, rng):
         for n in (50, 200, 500):
@@ -203,7 +171,7 @@ class TestWorkCounts:
     )
     def test_one_split_per_separator_call(self, monkeypatch, G):
         calls = self._count(monkeypatch, "components_within")
-        cut, parts = _cut_node(G, whole(G), bfs_level_separator, None)
+        cut, parts = _cut_node(G, whole(G), bfs_level_separator)
         # the oracle makes no components pass; the node's check makes one
         assert len(calls) == 1
         assert cut == reference_bfs_level_separator(G).cut
@@ -250,23 +218,22 @@ class TestContractErrors:
     """_cut_node names each way an oracle's cut can break the contract."""
 
     @pytest.mark.parametrize(
-        "cut, budget, message",
+        "cut, message",
         [
-            ((5, 50), None, "oracle cut vertices outside the node of size 10 with smallest vertex 0"),
-            ((-1,), None, "oracle cut vertices outside the node"),
-            ((), None, "empty cut for a connected subgraph at the node of size 10"),
-            ((0,), None, "unbalanced separation at the node of size 10"),
-            ((3, 6), SeparatorBudget("constant", 1), r"exceeded budget f\(10\)=1 at the node"),
+            ((5, 50), "oracle cut vertices outside the node of size 10 with smallest vertex 0"),
+            ((-1,), "oracle cut vertices outside the node"),
+            ((), "empty cut for a connected subgraph at the node of size 10"),
+            ((0,), "unbalanced separation at the node of size 10"),
         ],
-        ids=["outside", "negative", "empty", "unbalanced", "over-budget"],
+        ids=["outside", "negative", "empty", "unbalanced"],
     )
-    def test_bad_cut_is_named(self, cut, budget, message):
+    def test_bad_cut_is_named(self, cut, message):
         G = gen_path(100)
         with pytest.raises(SeparatorContractError, match=message):
-            _cut_node(G, tuple(range(10)), lambda g, subset: cut, budget)
+            _cut_node(G, tuple(range(10)), lambda g, subset: cut)
 
     def test_balanced_cut_passes(self):
         G = gen_path(100)
-        cut, parts = _cut_node(G, tuple(range(10)), lambda g, subset: (6, 3), None)
+        cut, parts = _cut_node(G, tuple(range(10)), lambda g, subset: (6, 3))
         assert cut == (3, 6)
         assert parts == [(0, 1, 2), (4, 5), (7, 8, 9)]

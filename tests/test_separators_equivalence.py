@@ -287,7 +287,7 @@ def test_subset_cut_matches_reference_on_the_copy(oracle, reference, max_size, d
 @settings(max_examples=60, deadline=None)
 def test_truncated_tree_equals_fresh_recursion(G):
     c0 = max(2, math.ceil(math.sqrt(G.n)))
-    _, tree = _shatter_tree(G, [c0], G.n, bfs_level_separator, None)
+    _, tree = _shatter_tree(G, [c0], G.n, bfs_level_separator)
     for C in (c0 << i for i in range(DOUBLINGS)):
         X, trace = _truncate(tree, C)
         ref_X, ref_trace = reference_shatter_once(G, C, reference_bfs_level_separator)

@@ -18,7 +18,6 @@ from islandkit.graphs import (
     Graph,
     Separation,
     gen_complete_bipartite,
-    gen_cycle,
     gen_fan,
     gen_path,
     gen_triangulated_grid,
@@ -31,17 +30,13 @@ from islandkit.islands import is_island
 from conftest import linkage_keys, random_bounded_degree_graph
 from islandkit.surgery import (
     AuditError,
-    BoundedTwResult,
     _linkage_violation,
-    ConstantSchedule,
     audit_appearance_universal,
     audit_large_interiors,
     audit_linked,
     bag_linkages,
-    bounded_tw_island,
     coarsen_by_blocks,
     extended_bags,
-    f_link,
     island_or_minor,
     make_appearance_universal,
     make_large_interiors,
@@ -77,39 +72,6 @@ def caterpillar(spine: int) -> Graph:
 
 def fan_decomposition(m: int, apex: int) -> PathDecomposition:
     return PathDecomposition(tuple(vset([i, i + 1, apex]) for i in range(m - 1)))
-
-
-class TestFLink:
-    def test_base_case(self):
-        assert f_link(0, 7) == 7
-
-    def test_recursion_values(self):
-        assert f_link(1, 3) == 4
-        assert f_link(2, 3) == 7
-
-    def test_monotone_in_both_arguments(self):
-        assert f_link(3, 5) < f_link(4, 5) and f_link(3, 5) < f_link(3, 6)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            f_link(-1, 3)
-
-
-class TestConstantSchedule:
-    def test_cascade_values(self):
-        sch = ConstantSchedule.from_params(1, 2)
-        assert sch.n3 == 6
-        assert sch.n2 == 6**3
-        assert sch.n1 == f_link(2, 216)
-
-    def test_C_is_astronomical(self):
-        sch = ConstantSchedule.from_params(2, 5)
-        assert sch.C_exceeds(10**1000)
-
-    def test_tiny_schedule_comparable(self):
-        sch = ConstantSchedule.from_params(1, 1)
-        # C = 2 * n1**n1 with small n1: still exactly comparable
-        assert sch.C_exceeds(1)
 
 
 class TestTreeToPath:
@@ -356,40 +318,6 @@ class TestIslandOrMinor:
         result = island_or_minor(G, li, t=2, m=5, l=5)
         assert result.kind == "order_too_small"
         assert result.note
-
-
-class TestBoundedTwPipeline:
-    def test_path_gives_island(self):
-        G = gen_path(60)
-        result = bounded_tw_island(G, k=1, S=[], t=2, m=3, l=2)
-        assert result.kind == "island"
-        assert is_island(G, result.island.members, 2).ok
-
-    def test_forbidden_set_respected(self):
-        G = gen_path(60)
-        result = bounded_tw_island(G, k=1, S=list(range(30)), t=2, m=3, l=2)
-        assert result.kind == "island"
-        assert not set(result.island.members) & set(range(30))
-
-    def test_fan_gives_minor(self):
-        G = gen_fan(1, 40)
-        result = bounded_tw_island(G, k=2, S=[], t=2, m=3)
-        assert result.kind == "minor"
-        assert verify_minor_model(G, result.minor_host, result.model).ok
-
-    def test_constants_report_is_honest(self):
-        G = gen_cycle(12)
-        sch = ConstantSchedule.from_params(2, 5)
-        result = bounded_tw_island(G, k=2, S=[], t=2, m=50, l=50, schedule=sch)
-        assert result.kind == "constants_not_met"
-        met = result.report["schedule_met"]
-        assert not met["path_order >= n1"]
-
-    def test_report_always_records_stage_orders(self):
-        G = gen_path(30)
-        result = bounded_tw_island(G, k=1, S=[], t=2, m=3, l=2)
-        for key in ("path_order", "linked_order", "large_interiors_order"):
-            assert key in result.report
 
 
 class TestLinkageCertificate:
