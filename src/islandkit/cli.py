@@ -22,7 +22,7 @@ from .decomposition import (
     restore_properness,
     validate_decomposition,
 )
-from .graphs import GENERATORS, Graph, checked_vset, parse_graph, write_graph
+from .graphs import GENERATORS, Graph, checked_vset, int_token, parse_graph, write_graph
 
 
 def _vertex_list(G: Graph, text: str, name: str) -> tuple[int, ...]:
@@ -32,7 +32,7 @@ def _vertex_list(G: Graph, text: str, name: str) -> tuple[int, ...]:
     for token in text.split(","):
         if token != "":
             try:
-                ids.append(int(token))
+                ids.append(int_token(token))
             except ValueError:
                 raise ValueError(f"{name}: {token!r} is not a vertex id") from None
     checked_vset(G, ids)
@@ -67,7 +67,7 @@ def _load_lists(path: str, n: int) -> coloring.ListAssignment:
     lists = []
     for lineno, line in enumerate(lines, start=1):
         try:
-            lst = tuple(int(x) for x in line.split())
+            lst = tuple(map(int_token, line.split()))
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: expected integer colours, got {line!r}")
         if any(c < 0 for c in lst):
@@ -133,9 +133,7 @@ def cmd_island(args, started: float) -> int:
         "alpha": args.alpha,
     }
     if args.mode == "brute":
-        size, witness = islands.min_island_size_bruteforce(
-            G, args.t, cap=args.bruteforce_cap
-        )
+        size, witness = islands.min_island_size_bruteforce(G, args.t)
         verdict = islands.is_island(G, witness, args.t)
         if not verdict.ok:
             raise RuntimeError("brute-force witness failed re-verification")
@@ -165,25 +163,22 @@ def cmd_island(args, started: float) -> int:
     return 0
 
 
-def _default_finder(bruteforce_cap: int, alpha: float):
-    """Cascade: exact minimum island on small residuals, the sparse
-    pipeline when the density precondition holds, otherwise the whole
-    residual (always a valid island)."""
-    _finite("--alpha", alpha)
-    if not alpha > 0:
-        raise ValueError(f"--alpha must be > 0, got {alpha}")
+# alpha of color's sparse island finder, and island's default ALPHA
+ALPHA = 0.3
 
-    def finder(g: Graph, t: int):
-        if g.n <= bruteforce_cap:
-            _, witness = islands.min_island_size_bruteforce(g, t, cap=bruteforce_cap)
-            return witness
-        sp = islands.SparseIslandParams(t=t, alpha=alpha)
-        try:
-            return islands.find_island_sparse(g, sp)[0].members
-        except (islands.DensityPreconditionError, separators.ShatterBudgetError):
-            return tuple(range(g.n))
 
-    return finder
+def _island_finder(g: Graph, t: int) -> tuple[int, ...]:
+    """Cascade: exact minimum island on residuals of at most
+    islands.BRUTEFORCE_CAP vertices, the sparse pipeline at ALPHA when the
+    density precondition holds, otherwise the whole residual (always a
+    valid island)."""
+    if g.n <= islands.BRUTEFORCE_CAP:
+        return islands.min_island_size_bruteforce(g, t)[1]
+    sp = islands.SparseIslandParams(t=t, alpha=ALPHA)
+    try:
+        return islands.find_island_sparse(g, sp)[0].members
+    except (islands.DensityPreconditionError, separators.ShatterBudgetError):
+        return tuple(range(g.n))
 
 
 def cmd_color(args, started: float) -> int:
@@ -194,13 +189,12 @@ def cmd_color(args, started: float) -> int:
         "t": args.t,
         "lists": args.lists,
     }
-    finder = _default_finder(args.bruteforce_cap, args.alpha)
     if args.lists:
         col, trace = coloring.greedy_clustered_list_coloring(
-            G, _load_lists(args.lists, G.n), args.t, finder
+            G, _load_lists(args.lists, G.n), args.t, _island_finder
         )
     else:
-        col, trace = coloring.greedy_clustered_coloring(G, args.t, finder)
+        col, trace = coloring.greedy_clustered_coloring(G, args.t, _island_finder)
     # the theorem's bound: no monochromatic component outgrows an island
     verdict = coloring.verify_coloring(G, col, trace.max_island_size)
     if not verdict.ok or verdict.max_component != col.achieved_clustering:
@@ -288,7 +282,7 @@ def cmd_pathdecomp(args, started: float) -> int:
         if step == "treepath":
             P = surgery.tree_to_path(G, P).decomposition
         elif step == "proper":
-            P, _ = restore_properness(P)
+            P = restore_properness(P)
         elif step == "linked":
             P = surgery.make_linked(G, P).decomposition
         elif step == "appuniv":
@@ -373,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and path-decomposition surgery.",
     )
     parser.add_argument("--json", action="store_true", help="emit the full JSON report")
-    parser.add_argument(
-        "--bruteforce-cap", type=int, default=20, help="cap on brute-force subroutines"
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", help="write a generated graph to a file")
@@ -388,14 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("t", type=int)
     p.add_argument("mode", choices=["brute", "sparse"])
-    p.add_argument("alpha", nargs="?", type=float, default=0.3)
+    p.add_argument("alpha", nargs="?", type=float, default=ALPHA)
     p.set_defaults(func=cmd_island)
 
     p = sub.add_parser("color", help="island-driven greedy clustered coloring")
     p.add_argument("graph")
     p.add_argument("t", type=int)
     p.add_argument("--lists", help="file with one color list per vertex line")
-    p.add_argument("--alpha", type=float, default=0.3)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("percolate", help="run bootstrap t-percolation from seeds")

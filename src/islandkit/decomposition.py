@@ -12,7 +12,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import Graph, Separation, checked_vset, reach, vset
+from .graphs import Graph, Separation, checked_vset, int_token, reach, vset
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def parse_decomposition(text: str) -> TreeDecomposition | PathDecomposition:
         if record not in _RECORD_ARITY:
             raise DecompositionParseError(f"line {lineno}: unknown record {record!r}")
         try:
-            values = [int(f) for f in fields]
+            values = [int_token(f) for f in fields]
         except ValueError:
             raise DecompositionParseError(
                 f"line {lineno}: expected integers after {record!r}, got {raw!r}"
@@ -461,19 +461,15 @@ def treewidth_decomposition(G: Graph) -> TreeDecomposition:
     return _decomposition_from_order(G, order)
 
 
-def restore_properness(P: PathDecomposition) -> tuple[PathDecomposition, list[tuple[int, int]]]:
+def restore_properness(P: PathDecomposition) -> PathDecomposition:
     """Merge comparable neighbour bags, leftmost pair first, in one pass:
-    each bag absorbs the top of a stack of merged bags while either contains
-    the other.  Also returns the interval partition of input bags merged."""
+    each bag absorbs the top of a stack of merged bags while either
+    contains the other, so no bag of the result contains a neighbour."""
     require_kind(P, PathDecomposition, "restore_properness")
-    stack: list[tuple[set[int], int, int]] = []  # (merged bag, first and last input bag)
-    for i, bag in enumerate(P.bags):
-        cur, first = set(bag), i
-        while stack and (stack[-1][0] <= cur or cur <= stack[-1][0]):
-            top, first, _ = stack.pop()
-            cur |= top
-        stack.append((cur, first, i))
-    return (
-        PathDecomposition(tuple(vset(b) for b, _, _ in stack)),
-        [(first, last) for _, first, last in stack],
-    )
+    stack: list[set[int]] = []  # the merged bags so far
+    for bag in P.bags:
+        cur = set(bag)
+        while stack and (stack[-1] <= cur or cur <= stack[-1]):
+            cur |= stack.pop()
+        stack.append(cur)
+    return PathDecomposition(tuple(map(vset, stack)))

@@ -149,6 +149,17 @@ class Graph:
 
 _ASCII_DIGITS = str.maketrans("", "", "0123456789")
 
+
+def int_token(token: str) -> int:
+    """The one rule for vertex ids, colours and counts: ASCII digits after an
+    optional '-' (so a reader can name a negative value).  Other text int()
+    takes, such as '+3', '1_0' or Arabic-Indic digits, is a ValueError."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer token: {token!r}")
+    return int(token)
+
+
 # The most vertices a parsed document may have.  The parser allocates one
 # adjacency row per vertex, so an id or a header n above this cap is
 # rejected by line before any row exists.
@@ -236,7 +247,7 @@ def _parse_lines(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphParseError(f"line {lineno}: expected two integers, got {raw!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = int_token(parts[0]), int_token(parts[1])
         except ValueError:
             raise GraphParseError(f"line {lineno}: expected two integers, got {raw!r}")
         if a < 0 or b < 0:

@@ -160,8 +160,12 @@ def shrink_enclave_to_island(G: Graph, A: Iterable[int], t: int) -> IslandCertif
     return verdict.certificate
 
 
+# The most vertices a brute-force island search takes on.
+BRUTEFORCE_CAP = 20
+
+
 def min_island_size_bruteforce(
-    G: Graph, t: int, cap: int = 20
+    G: Graph, t: int, cap: int = BRUTEFORCE_CAP
 ) -> tuple[int, tuple[int, ...]]:
     """Exhaustive minimum t-island size with its lexicographically least
     witness among the minimum-size islands."""

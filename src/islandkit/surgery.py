@@ -159,7 +159,7 @@ def tree_to_path(G: Graph, T: TreeDecomposition) -> TransformResult:
     _require_valid(G, T, TreeDecomposition, "tree_to_path")
     adj = T.adjacency()
     order = [*reach(adj, 0, set(range(T.order)))] if T.bags else []
-    P, _ = restore_properness(PathDecomposition(tuple(_tree_path_bags(T, adj, order))))
+    P = restore_properness(PathDecomposition(tuple(_tree_path_bags(T, adj, order))))
     if not P.proper:
         raise AuditError("tree_to_path produced an improper result")
     return TransformResult(P, None)
@@ -312,7 +312,7 @@ def make_linked(G: Graph, P: PathDecomposition) -> TransformResult:
     the result is left to the next stage to validate.
     """
     _require_valid(G, P, PathDecomposition, "make_linked")
-    P, _ = restore_properness(P)
+    P = restore_properness(P)
     result, linkages = _make_linked_rec(G, P)
     final = _checked_linkages(G, result, linkages)
     if not final.ok:
@@ -333,11 +333,11 @@ def _make_linked_rec(
     low = [i for i, size in enumerate(sizes) if size < p]
     if low:
         # option A: cut at the small-intersection edges -> adhesion <= p-1
-        A, _ = restore_properness(coarsen_by_blocks(P, _cut_after(low, P.order)))
+        A = restore_properness(coarsen_by_blocks(P, _cut_after(low, P.order)))
         options.append(_make_linked_rec(G, A))
         # option B: merge the small-intersection edges away -> uniform p
         high = [i for i, size in enumerate(sizes) if size == p]
-        B, _ = restore_properness(coarsen_by_blocks(P, _cut_after(high, P.order)))
+        B = restore_properness(coarsen_by_blocks(P, _cut_after(high, P.order)))
     else:
         B = P
     if B.order <= 2 or B.adhesion == 0:
@@ -351,7 +351,7 @@ def _make_linked_rec(
             options.append((B, linkages))
         else:
             split = _split_at_broken(B, broken)
-            split, _ = restore_properness(split)
+            split = restore_properness(split)
             options.append(_make_linked_rec(G, split))
             # window: the first longest run of consecutive unbroken internal
             # bags, the bags before it merged into one and those after into one
@@ -486,59 +486,36 @@ def make_large_interiors(G: Graph, P: PathDecomposition) -> TransformResult:
 # extended bags and the island-or-minor extraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtendedBag:
-    node: int
-    paths: tuple[tuple[int, ...], ...]  # linkage paths, original ids, by index
-    left: tuple[int, ...]  # l(1..p) as original ids
-    right: tuple[int, ...]  # r(1..p) as original ids
-
-
-@dataclass(frozen=True)
-class ExtendedBagsResult:
-    bags: tuple[ExtendedBag, ...]
-    global_paths: tuple[tuple[int, ...], ...]  # L_1..L_p stitched across bags
-
-
-def extended_bags(G: Graph, P: PathDecomposition) -> ExtendedBagsResult:
-    """Per-internal-bag linkages stitched into p global disjoint paths.
+def extended_bags(G: Graph, P: PathDecomposition) -> tuple[tuple[int, ...], ...]:
+    """Per-internal-bag linkages stitched into p global disjoint paths
+    L_1..L_p, returned in that order (none when P has no internal bag).
 
     Linkedness is audited once, and the stitched linkages are the audit's
     own, each already checked as a certificate: every path runs from its
-    bag's left boundary to its right boundary.  Path indices are aligned
-    across consecutive bags: the right endpoint of path i in one bag is
-    the left endpoint of path i in the next.
+    bag's left boundary to its right boundary.  So each global path meets
+    every boundary of P in exactly one vertex, and where path i leaves one
+    internal bag it enters the next.
     """
     verdict = audit_linked(G, P)
     if not verdict.ok:
         raise AuditError(f"decomposition is not linked: {verdict.violation}")
     if P.order <= 2:
-        return ExtendedBagsResult((), ())
-    out: list[ExtendedBag] = []
+        return ()
     # the paths are numbered in the order of the first internal bag's
     # sorted left boundary; the audit proved that each bag's paths start
     # exactly at its left boundary, where the global paths end
     global_paths = [[v] for v in P.boundaries[0]]
     for z in range(1, P.order - 1):
         by_start = {p[0]: p for p in verdict.linkages[z].paths}
-        oriented = [by_start[g[-1]] for g in global_paths]
-        for g, path in zip(global_paths, oriented):
-            g.extend(path[1:])
-        out.append(
-            ExtendedBag(
-                node=z,
-                paths=tuple(oriented),
-                left=tuple(p[0] for p in oriented),
-                right=tuple(p[-1] for p in oriented),
-            )
-        )
+        for g in global_paths:
+            g.extend(by_start[g[-1]][1:])
     paths = tuple(tuple(p) for p in global_paths)
     seen: set[int] = set()
     for p in paths:
         if seen & set(p):
             raise AuditError("stitched global paths are not vertex-disjoint")
         seen.update(p)
-    return ExtendedBagsResult(tuple(out), paths)
+    return paths
 
 
 @dataclass(frozen=True)
@@ -578,16 +555,14 @@ def island_or_minor(
     for name, value in (("t", t), ("m", m), ("l", l)):
         if value < 1:
             raise ValueError(f"island_or_minor needs {name} >= 1, got {name}={value}")
-    eb = extended_bags(G, P)  # the one linkedness audit
+    paths = extended_bags(G, P)  # the one linkedness audit
     # make_large_interiors' own certificate, and this stage's precondition
     iv = audit_large_interiors(G, P)
     if not iv.ok:
         raise AuditError(f"no large interiors: {iv.violation}")
     interiors = P.interiors
     internal = list(range(1, P.order - 1))
-    flags: dict[int, object] = {}
-    for z in internal:
-        flags[z] = is_island(G, interiors[z], t)
+    flags = {z: is_island(G, interiors[z], t) for z in internal}
     # island window scan
     run: list[int] = []
     for z in internal:
@@ -606,21 +581,12 @@ def island_or_minor(
             "order_too_small",
             note=f"only {len(internal)} internal bags, all islands, window l={l} not reached",
         )
-    path_index = {
-        v: i for i, path in enumerate(eb.global_paths) for v in path
-    }
-    buckets: dict[BagSignature, list[tuple[int, int, tuple[int, ...]]]] = {}
-    for bag in eb.bags:
-        z = bag.node
-        if flags[z].ok:
-            continue
+    path_index = {v: i for i, path in enumerate(paths) for v in path}
+    buckets: dict[BagSignature, list[int]] = {}  # signature -> its bags' witnesses
+    for z in bad:
+        # the least interior vertex with >= t neighbours outside the interior
+        vz = flags[z].witness
         interior = set(interiors[z])
-        candidates = [
-            v
-            for v in sorted(interior)
-            if sum(1 for u in G.adj[v] if u not in interior) >= t
-        ]
-        vz = candidates[0]
         chosen = [u for u in G.adj[vz] if u not in interior][:t]
         sigma = []
         for u in chosen:
@@ -634,41 +600,33 @@ def island_or_minor(
             raise AuditError(
                 f"signature of bag {z} not distinct: {sigma}; large interiors violated"
             )
-        sigma_z = path_index.get(vz)
-        sig = BagSignature(tuple(sigma), 0 if sigma_z is None else sigma_z + 1)
-        buckets.setdefault(sig, []).append((z, vz, tuple(chosen)))
-    best_sig = None
-    for sig in sorted(buckets, key=lambda s: (-len(buckets[s]), s.sigma, s.sigma_z)):
-        if len(buckets[sig]) >= m:
-            best_sig = sig
-            break
-    if best_sig is None:
+        sig = BagSignature(tuple(sigma), path_index.get(vz, -1) + 1)
+        buckets.setdefault(sig, []).append(vz)
+    # the largest bucket, ties to the least signature
+    best_sig = min(buckets, key=lambda s: (-len(buckets[s]), s.sigma, s.sigma_z))
+    if len(buckets[best_sig]) < m:
         sizes = {tuple(s.sigma) + (s.sigma_z,): len(v) for s, v in buckets.items()}
         return IslandOrMinorResult(
             "order_too_small",
             note=f"largest signature bucket below m={m}: {sizes}",
         )
-    return _build_minor(G, eb, best_sig, buckets[best_sig], t, m)
+    return _build_minor(G, paths, best_sig, buckets[best_sig], t, m)
 
 
 def _build_minor(
     G: Graph,
-    eb: ExtendedBagsResult,
+    paths: tuple[tuple[int, ...], ...],
     sig: BagSignature,
-    members: list[tuple[int, int, tuple[int, ...]]],
+    witnesses: list[int],
     t: int,
     m: int,
 ) -> IslandOrMinorResult:
-    paths = eb.global_paths
     used = [j - 1 for j in sig.sigma]  # 0-based global path indices
     if sig.sigma_z not in sig.sigma:
         # a in {0, t+1}: contract the t paths, witnesses become singletons
-        members = members[:m]
         H = gen_complete_bipartite(t, m)
-        branch: dict[int, tuple[int, ...]] = {}
-        for i, j in enumerate(used):
-            branch[i] = tuple(paths[j])
-        for r, (_, vz, _) in enumerate(members):
+        branch = {i: paths[j] for i, j in enumerate(used)}
+        for r, vz in enumerate(witnesses[:m]):
             branch[t + r] = (vz,)
         model = MinorModel(branch)
         mv = verify_minor_model(G, H, model)
@@ -681,7 +639,7 @@ def _build_minor(
     # stretches between them into the path of the fan
     spine = paths[sig.sigma_z - 1]
     pos = {v: i for i, v in enumerate(spine)}
-    on_spine = sorted(pos[vz] for _, vz, _ in members)[:m]
+    on_spine = sorted(pos[vz] for vz in witnesses)[:m]
     H = gen_fan(t - 1, m)
     branch = {}
     prev = 0
@@ -690,7 +648,7 @@ def _build_minor(
         prev = p + 1
     apexes = [j for j in used if j != sig.sigma_z - 1]
     for i, j in enumerate(apexes):
-        branch[m + i] = tuple(paths[j])
+        branch[m + i] = paths[j]
     model = MinorModel(branch)
     mv = verify_minor_model(G, H, model)
     if not mv.ok:

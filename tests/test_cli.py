@@ -1,15 +1,21 @@
+import argparse
 import hashlib
 import json
+import os
 import shlex
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from islandkit import coloring
-from islandkit.cli import main
+from islandkit.cli import build_parser, main
 from islandkit.decomposition import PathDecomposition, write_decomposition
 from islandkit.graphs import vset
+
+REPO = Path(__file__).resolve().parent.parent
+NOT_GIVEN = object()  # the default of every optional argument in the README check
 
 
 @pytest.fixture
@@ -78,24 +84,6 @@ class TestColorPercolateShatter:
         err = capsys.readouterr().err
         assert "error: t must be >= 1" in err
         assert "residual" not in err
-
-    def test_color_nonpositive_alpha_is_rejected_at_entry(self, tmp_path, capsys):
-        # 36 vertices: above the brute-force cap, so the sparse finder runs
-        path = tmp_path / "g66.txt"
-        assert main(["gen", "triangulated_grid", "6", "6", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["color", str(path), "4", "--alpha", "-1"]) == 1
-        err = capsys.readouterr().err
-        assert "error: --alpha must be > 0, got -1.0" in err
-        assert "residual" not in err
-
-    @pytest.mark.parametrize("alpha", ["0", "-1"])
-    def test_color_nonpositive_alpha_is_rejected_below_bruteforce_cap(
-        self, k23, capsys, alpha
-    ):
-        # 5 vertices: only the brute-force finder would run, alpha is never read
-        assert main(["color", k23, "2", "--alpha", alpha]) == 1
-        assert "error: --alpha must be > 0" in capsys.readouterr().err
 
     def test_color_component_above_the_largest_island_fails(self, p3, monkeypatch, capsys):
         # islands {0, 1} and {2} of one colour join into a component of 3;
@@ -375,18 +363,22 @@ class TestVertexIdsAtTheBoundary:
         assert "vertex 7 out of range" in capsys.readouterr().err
 
 
-class TestNonFiniteParameters:
-    @pytest.mark.parametrize("value", ["inf", "nan"])
-    def test_color_alpha(self, tmp_path, capsys, value):
-        # 36 vertices: above the brute-force cap, so the sparse finder would run
-        path = tmp_path / "g66.txt"
-        assert main(["gen", "triangulated_grid", "6", "6", str(path)]) == 0
+    def test_ids_are_ascii_digits(self, p3, capsys):
         capsys.readouterr()
-        assert main(["color", str(path), "4", "--alpha", value]) == 1
-        err = capsys.readouterr().err
-        assert f"error: --alpha must be finite, got {value}" in err
-        assert "residual" not in err
+        assert main(["percolate", p3, "0_1,+2", "1"]) == 1
+        assert "error: seeds: '0_1' is not a vertex id" in capsys.readouterr().err
+        assert main(["verify", p3, "--island", "+1", "--t", "1"]) == 1
+        assert "error: --island: '+1' is not a vertex id" in capsys.readouterr().err
 
+    def test_colours_are_ascii_digits(self, p3, tmp_path, capsys):
+        lists = tmp_path / "lists.txt"
+        lists.write_text("0 1\n0 +1\n0 1\n")
+        capsys.readouterr()
+        assert main(["color", p3, "2", "--lists", str(lists)]) == 1
+        assert "line 2: expected integer colours" in capsys.readouterr().err
+
+
+class TestNonFiniteParameters:
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_island_alpha(self, p3, capsys, value):
         capsys.readouterr()
@@ -414,6 +406,13 @@ class TestUsageErrors:
         assert main(["shatter", p3, value]) == 1
         assert "islandkit shatter: error:" in capsys.readouterr().err
 
+    def test_colour_knobs_are_gone(self, k23, capsys):
+        # color's island finder reads fixed constants, not per-run knobs
+        for argv in (["--bruteforce-cap", "5", "color", k23, "2"],
+                     ["color", k23, "2", "--alpha", "0.6"]):
+            assert main(argv) == 1, argv
+            assert "islandkit: error:" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "islandkit: error:" in capsys.readouterr().err
@@ -423,17 +422,49 @@ class TestUsageErrors:
         assert "usage: islandkit shatter" in capsys.readouterr().out
 
 
+def _readme_cli_block() -> str:
+    readme = (REPO / "README.md").read_text()
+    return readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+
+
 class TestReadme:
-    def test_cli_block_runs_as_written(self, tmp_path, monkeypatch, capsys):
-        """Each line of the README's CLI block, in order, in an empty
-        directory: islandkit lines through main, the rest through sh."""
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-        monkeypatch.chdir(tmp_path)
-        for line in filter(None, block.splitlines()):
+    def test_cli_block_runs_as_written(self, tmp_path):
+        """Each line of the README's CLI block, in order, under bash in an
+        empty directory, with islandkit run from src/: every line exits 0."""
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHON": sys.executable}
+        prelude = 'set -o pipefail\nislandkit() { "$PYTHON" -m islandkit.cli "$@"; }\n'
+        out = []
+        for line in filter(None, _readme_cli_block().splitlines()):
+            run = subprocess.run(
+                ["bash", "-c", prelude + line],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+            assert run.returncode == 0, (line, run.stderr)
+            out.append(run.stdout)
+        assert "kind': 'minor'" in "".join(out)
+
+    def test_every_optional_argument_has_an_example(self):
+        """Every flag and every optional positional is given by some
+        islandkit line of the README's CLI block."""
+        parser = build_parser.__wrapped__()  # a fresh parser: defaults change below
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        optional = {}  # (subcommand or None, dest) -> how the report names it
+        for sub, p in [(None, parser), *subparsers.choices.items()]:
+            for action in p._actions:
+                if isinstance(action, (argparse._HelpAction, argparse._SubParsersAction)):
+                    continue
+                if action.option_strings or action.nargs == "?":
+                    name = action.option_strings[-1] if action.option_strings else action.dest
+                    optional[sub, action.dest] = f"{sub} {name}" if sub else name
+                    action.default = NOT_GIVEN
+        given = set()
+        for line in _readme_cli_block().splitlines():
             words = shlex.split(line, comments=True)
-            if words[0] == "islandkit":
-                assert main(words[1:]) in (0, 2), line
-            else:
-                subprocess.run(line, shell=True, check=True)
-        assert "kind': 'minor'" in capsys.readouterr().out
+            if words[:1] == ["islandkit"]:
+                args = vars(parser.parse_args(words[1:]))
+                for sub, dest in optional:
+                    if sub in (None, args["subcommand"]) and args[dest] is not NOT_GIVEN:
+                        given.add((sub, dest))
+        assert sorted(optional[key] for key in optional.keys() - given) == []

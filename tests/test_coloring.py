@@ -18,7 +18,6 @@ from islandkit.graphs import (
     Graph,
     gen_complete_bipartite,
     gen_cycle,
-    gen_fan,
     gen_path,
     gen_triangulated_grid,
 )

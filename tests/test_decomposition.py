@@ -107,7 +107,7 @@ class TestPathDecomposition:
 
     def test_restore_properness(self):
         P = PathDecomposition(((0, 1), (0, 1, 2), (2, 3)))
-        Q, witness = restore_properness(P)
+        Q = restore_properness(P)
         assert Q.proper
         assert validate_decomposition(gen_path(4), Q).ok
 
@@ -165,7 +165,6 @@ def reference_restore_properness(P: PathDecomposition):
     """restore_properness as a restart loop: merge the leftmost pair of
     neighbour bags where either contains the other, then rescan from bag 0."""
     bags = [set(b) for b in P.bags]
-    intervals = [[i, i] for i in range(len(bags))]
     changed = True
     while changed:
         changed = False
@@ -173,15 +172,10 @@ def reference_restore_properness(P: PathDecomposition):
             a, b = bags[i], bags[i + 1]
             if a <= b or b <= a:
                 bags[i] = a | b
-                intervals[i] = [intervals[i][0], intervals[i + 1][1]]
                 del bags[i + 1]
-                del intervals[i + 1]
                 changed = True
                 break
-    return (
-        PathDecomposition(tuple(vset(b) for b in bags)),
-        [tuple(iv) for iv in intervals],
-    )
+    return PathDecomposition(tuple(vset(b) for b in bags))
 
 
 class TestRestoreProperness:
@@ -195,8 +189,8 @@ class TestRestoreProperness:
         lambda bags: PathDecomposition(tuple(vset(b) for b in bags))))
     @settings(max_examples=400, deadline=None)
     def test_matches_restart_loop(self, P):
-        Q, intervals = restore_properness(P)
-        assert (Q, intervals) == reference_restore_properness(P)
+        Q = restore_properness(P)
+        assert Q == reference_restore_properness(P)
         assert Q.proper
 
     def test_long_chain_is_one_pass(self):
@@ -204,7 +198,7 @@ class TestRestoreProperness:
         # from bag 0 after each of the n - 1 merges
         P = PathDecomposition(tuple(tuple(range(i + 1)) for i in range(3001)))
         events = line_events((decomposition,), restore_properness, P)
-        assert restore_properness(P) == (PathDecomposition((tuple(range(3001)),)), [(0, 3000)])
+        assert restore_properness(P) == PathDecomposition((tuple(range(3001)),))
         assert 0 < events <= 20 * P.order
 
 
@@ -339,6 +333,11 @@ class TestFullDefinition:
     def test_parse_errors_carry_line_numbers(self, text, line):
         with pytest.raises(DecompositionParseError, match=f"^line {line}: "):
             parse_decomposition(text)
+
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0663"])
+    def test_bag_ids_are_ascii_digits(self, token):
+        with pytest.raises(DecompositionParseError, match="^line 2: expected integers"):
+            parse_decomposition(f"path 1\nbag 0 {token}\n")
 
     def test_min_fill_on_disconnected_graph_is_one_tree(self):
         G = Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])

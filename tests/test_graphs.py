@@ -26,6 +26,7 @@ from islandkit.graphs import (
     gen_triangulated_grid,
     checked_vset,
     induced_subgraph,
+    int_token,
     parse_graph,
     verify_minor_model,
     write_graph,
@@ -54,6 +55,18 @@ class TestParsing:
     def test_duplicate_edge_rejected(self):
         with pytest.raises((GraphParseError, GraphValidityError)):
             parse_graph("0 1\n1 0\n")
+
+    @pytest.mark.parametrize("token", ["1_0", "+3", "\u0663", "1.0", "-", ""])
+    def test_ids_are_ascii_digits(self, token):
+        with pytest.raises(ValueError, match="not an integer token"):
+            int_token(token)
+        with pytest.raises(GraphParseError, match="^line 2: expected two integers"):
+            parse_graph(f"0 1\n{token} 2\n")
+
+    def test_negative_id_is_named(self):
+        assert int_token("-3") == -3
+        with pytest.raises(GraphParseError, match="^line 1: negative vertex id$"):
+            parse_graph("-3 2\n")
 
     @pytest.mark.parametrize(
         "text,message",
@@ -144,9 +157,10 @@ def _short_ids(text):
     return re.sub("[0-9\u0663]{3,}", lambda run: run.group()[:2], text)
 
 
-# "\u0663" is ARABIC-INDIC DIGIT THREE, which int() reads as 3
+# int() reads "+3", "1_0" and "\u0663" (ARABIC-INDIC DIGIT THREE); a
+# vertex id is ASCII digits only, so both parsers reject all three
 _PLAIN_ALPHABET = [*"0123456789", " ", "\n", "#"]
-_ALPHABET = _PLAIN_ALPHABET + ["\t", "\r\n", "-", "+", "\u0663"]
+_ALPHABET = _PLAIN_ALPHABET + ["\t", "\r\n", "-", "+", "_", "\u0663"]
 
 
 class TestParserEquivalence:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from islandkit.graphs import (
     GraphValidityError,
     gen_complete_bipartite,
-    gen_fan,
     gen_path,
     gen_triangulated_grid,
 )

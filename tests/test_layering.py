@@ -4,7 +4,7 @@ the island layer, so `islands` can call `separators.shatter` directly.
 
 Every top-level definition is reached from a command (`cli.py`) or a
 bench job (`bench/*.py`), or sits on an allowlist of named test oracles,
-and every name a module imports is used in it."""
+and every name a module or a test file imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -15,6 +15,7 @@ import islandkit
 
 PACKAGE = Path(islandkit.__file__).parent
 BENCH = PACKAGE.parents[1] / "bench"
+TESTS = Path(__file__).parent
 
 
 def internal_imports() -> dict[str, set[str]]:
@@ -288,6 +289,11 @@ def unused_imports(src: Source) -> list[str]:
 def test_every_import_is_used(module):
     # __init__'s imports are the package's re-exports, so it is not checked
     assert unused_imports(Package().sources[module]) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_every_test_import_is_used(path):
+    assert unused_imports(Source(path, path.stem)) == []
 
 
 def test_walk_sees_dead_code_and_wiring():

@@ -118,8 +118,7 @@ def reference_bfs_order(T, adj):
 def reference_tree_to_path(G, T):
     adj = T.adjacency()
     bags = reference_tree_path_bags(T, adj, reference_bfs_order(T, adj))
-    P, _ = restore_properness(PathDecomposition(tuple(bags)))
-    return P
+    return restore_properness(PathDecomposition(tuple(bags)))
 
 
 # ---------------------------------------------------------------------------

@@ -253,9 +253,9 @@ class TestExtendedBags:
     def test_fan_global_paths(self):
         G = gen_fan(1, 12)
         P = make_large_interiors(G, fan_decomposition(12, 12)).decomposition
-        eb = extended_bags(G, P)
-        assert len(eb.global_paths) == 2
-        flat = [v for p in eb.global_paths for v in p]
+        paths = extended_bags(G, P)
+        assert len(paths) == 2
+        flat = [v for p in paths for v in p]
         assert len(flat) == len(set(flat))
 
     def test_unlinked_input_rejected(self):
@@ -269,9 +269,11 @@ class TestExtendedBags:
         G = gen_complete_bipartite(2, 20)
         P = PathDecomposition(tuple(vset([0, 1, r]) for r in range(2, 22)))
         li = make_large_interiors(G, P).decomposition
-        eb = extended_bags(G, li)
-        for prev, cur in zip(eb.bags, eb.bags[1:]):
-            assert prev.right == cur.left
+        paths = extended_bags(G, li)
+        # path i leaves each internal bag where it enters the next: one
+        # vertex on every boundary, and the paths hold the boundaries
+        for boundary in li.boundaries:
+            assert sorted(len(set(p) & set(boundary)) for p in paths) == [1] * len(boundary)
 
 
 class TestIslandOrMinor:
