@@ -123,15 +123,10 @@ def cmd_gen(args, started: float) -> int:
 
 
 def cmd_island(args, started: float) -> int:
-    _finite("alpha", args.alpha)
+    if args.mode == "brute" and args.alpha is not None:
+        raise ValueError(f"brute mode takes no ALPHA, got alpha={args.alpha}")
     G, digest = _load_graph(args.graph)
-    params = {
-        "graph": args.graph,
-        "input_digest": digest,
-        "t": args.t,
-        "mode": args.mode,
-        "alpha": args.alpha,
-    }
+    params = {"graph": args.graph, "input_digest": digest, "t": args.t, "mode": args.mode}
     if args.mode == "brute":
         size, witness = islands.min_island_size_bruteforce(G, args.t)
         verdict = islands.is_island(G, witness, args.t)
@@ -143,13 +138,13 @@ def cmd_island(args, started: float) -> int:
             "verified": True,
         }
     else:
-        sp = islands.SparseIslandParams(t=args.t, alpha=args.alpha)
+        alpha = params["alpha"] = ALPHA if args.alpha is None else args.alpha
+        _finite("alpha", alpha)
+        sp = islands.SparseIslandParams(t=args.t, alpha=alpha)
         try:
             cert, C = islands.find_island_sparse(G, sp)
         except (islands.DensityPreconditionError, separators.ShatterBudgetError) as exc:
-            raise HonestNegative(
-                {"reason": str(exc), "t": args.t, "alpha": args.alpha}
-            ) from exc
+            raise HonestNegative({"reason": str(exc), "t": args.t, "alpha": alpha}) from exc
         verdict = islands.is_island(G, cert.members, args.t)
         if not verdict.ok:
             raise RuntimeError("sparse certificate failed re-verification")
@@ -280,15 +275,15 @@ def cmd_pathdecomp(args, started: float) -> int:
     for step in args.chain.split(","):
         step = step.strip()
         if step == "treepath":
-            P = surgery.tree_to_path(G, P).decomposition
+            P = surgery.tree_to_path(G, P)
         elif step == "proper":
             P = restore_properness(P)
         elif step == "linked":
-            P = surgery.make_linked(G, P).decomposition
+            P = surgery.make_linked(G, P)
         elif step == "appuniv":
-            P = surgery.make_appearance_universal(G, P).decomposition
+            P = surgery.make_appearance_universal(G, P)
         elif step == "largeint":
-            P = surgery.make_large_interiors(G, P).decomposition
+            P = surgery.make_large_interiors(G, P)
         elif step == "extract":
             result = surgery.island_or_minor(G, P, args.t, args.m, args.l)
             if result.kind == "order_too_small":
@@ -371,27 +366,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a generated graph to a file")
     p.add_argument("family")
-    p.add_argument("params", nargs="+", type=int)
+    p.add_argument("params", nargs="+", type=int_token)
     p.add_argument("out")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("island", help="find a t-island")
     p.add_argument("graph")
-    p.add_argument("t", type=int)
+    p.add_argument("t", type=int_token)
     p.add_argument("mode", choices=["brute", "sparse"])
-    p.add_argument("alpha", nargs="?", type=float, default=ALPHA)
+    p.add_argument("alpha", nargs="?", type=float, help=f"sparse mode only; default {ALPHA}")
     p.set_defaults(func=cmd_island)
 
     p = sub.add_parser("color", help="island-driven greedy clustered coloring")
     p.add_argument("graph")
-    p.add_argument("t", type=int)
+    p.add_argument("t", type=int_token)
     p.add_argument("--lists", help="file with one color list per vertex line")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("percolate", help="run bootstrap t-percolation from seeds")
     p.add_argument("graph")
     p.add_argument("seeds", help="comma-separated seed vertices")
-    p.add_argument("t", type=int)
+    p.add_argument("t", type=int_token)
     p.set_defaults(func=cmd_percolate)
 
     p = sub.add_parser("shatter", help="remove few vertices to bound components")
@@ -404,16 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("decomposition")
     p.add_argument("chain", help="comma list: treepath,proper,linked,appuniv,largeint,extract")
-    p.add_argument("t", type=int, nargs="?", default=2)
-    p.add_argument("m", type=int, nargs="?", default=2)
-    p.add_argument("l", type=int, nargs="?", default=1)
+    p.add_argument("t", type=int_token, nargs="?", default=2)
+    p.add_argument("m", type=int_token, nargs="?", default=2)
+    p.add_argument("l", type=int_token, nargs="?", default=1)
     p.set_defaults(func=cmd_pathdecomp)
 
     p = sub.add_parser("verify", help="re-check a graph/decomposition/island")
     p.add_argument("graph")
     p.add_argument("--decomposition")
     p.add_argument("--island", help="comma-separated vertex set")
-    p.add_argument("--t", type=int, default=2)
+    p.add_argument("--t", type=int_token, default=2)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -19,11 +19,8 @@ from .islands import GraphTooLarge, is_island, min_island_size_bruteforce
 
 
 class IslandFinderError(RuntimeError):
-    """The island finder failed on a residual graph (carried for diagnosis)."""
-
-    def __init__(self, message: str, residual: tuple[int, ...]):
-        super().__init__(message)
-        self.residual = residual
+    """The island finder failed on a residual graph; the message names the
+    residual's size or the offending vertex."""
 
 
 @dataclass(frozen=True)
@@ -50,11 +47,11 @@ class ListAssignment:
 
 @dataclass(frozen=True)
 class IslandEliminationTrace:
-    steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (island, colors)
+    islands: tuple[tuple[int, ...], ...]  # in peel order
 
     @property
     def max_island_size(self) -> int:
-        return max((len(s) for s, _ in self.steps), default=0)
+        return max(map(len, self.islands), default=0)
 
 
 @dataclass(frozen=True)
@@ -118,19 +115,17 @@ def _peel_islands(
             local = vset(island_finder(sub, t))
         except Exception as err:
             raise IslandFinderError(
-                f"island finder failed on residual of size {sub.n}: {err}",
-                tuple(remaining),
+                f"island finder failed on residual of size {sub.n}: {err}"
             ) from err
         if not local or local[0] < 0 or local[-1] >= sub.n:
             raise IslandFinderError(
-                "island finder returned an invalid set", tuple(remaining)
+                f"island finder returned an invalid set on residual of size {sub.n}"
             )
         verdict = is_island(sub, local, t)
         if not verdict.ok:
             raise IslandFinderError(
                 f"finder returned a non-island: vertex {remaining[verdict.witness]} has "
-                f"{verdict.witness_outside_degree} outside neighbors in the residual graph",
-                tuple(remaining),
+                f"{verdict.witness_outside_degree} outside neighbors in the residual graph"
             )
         island = tuple(remaining[v] for v in local)
         island_set = set(island)
@@ -164,12 +159,9 @@ def greedy_clustered_list_coloring(
     clustering = max(
         (len(c) for c in monochromatic_components(G, assignment)), default=0
     )
-    trace = IslandEliminationTrace(
-        tuple((isl, tuple(colors[v] for v in isl)) for isl in islands)
-    )
     return (
         ClusteredColoring(assignment, palette, clustering),
-        trace,
+        IslandEliminationTrace(tuple(islands)),
     )
 
 
@@ -219,7 +211,7 @@ def greedy_palette_for_clustering(G: Graph, C: int, cap: int = 20) -> int:
         size, witness = min_island_size_bruteforce(g, t, cap=cap)
         if size > C:
             raise IslandFinderError(
-                f"minimum {t}-island has size {size} > C={C}", tuple(range(g.n))
+                f"minimum {t}-island of residual of size {g.n} has size {size} > C={C}"
             )
         return witness
 

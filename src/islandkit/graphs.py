@@ -93,9 +93,6 @@ class Graph:
         G._masks = None
         return G
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.adj[u]
         i = bisect_left(row, v)
@@ -106,9 +103,6 @@ class Graph:
             for v in self.adj[u]:
                 if u < v:
                     yield (u, v)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     @property
     def neighbor_masks(self) -> tuple[int, ...]:

@@ -41,7 +41,6 @@ class NotAnEnclave(ValueError):
 class IslandCertificate:
     members: tuple[int, ...]
     t: int
-    outside_degrees: tuple[int, ...]  # aligned with members
 
 
 @dataclass(frozen=True)
@@ -86,15 +85,11 @@ def is_island(G: Graph, S: Iterable[int], t: int) -> IslandVerdict:
     if t < 1:
         raise ValueError("t must be >= 1")
     inset = set(members)
-    outside = []
     for v in members:
         d = sum(1 for u in G.adj[v] if u not in inset)
         if d >= t:
             return IslandVerdict(False, witness=v, witness_outside_degree=d)
-        outside.append(d)
-    return IslandVerdict(
-        True, certificate=IslandCertificate(members, t, tuple(outside))
-    )
+    return IslandVerdict(True, certificate=IslandCertificate(members, t))
 
 
 def incident_edge_count(G: Graph, A: Iterable[int]) -> int:

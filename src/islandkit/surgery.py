@@ -55,14 +55,6 @@ def _require_valid(G: Graph, D, kind: type, stage: str) -> None:
         raise AuditError(f"{stage}: invalid {kind.__name__}: {verdict.violation}")
 
 
-@dataclass(frozen=True)
-class TransformResult:
-    decomposition: PathDecomposition
-    # interval partition of input bags witnessing a coarsening, or None
-    # when the transform is not a pure coarsening (tree input, bag splits)
-    intervals: tuple[tuple[int, int], ...] | None
-
-
 def coarsen_by_blocks(
     P: PathDecomposition, blocks: Sequence[tuple[int, int]]
 ) -> PathDecomposition:
@@ -145,7 +137,7 @@ def _tree_path_bags(
     return [union(reach(adj, z, off_spine)) for z in spine]
 
 
-def tree_to_path(G: Graph, T: TreeDecomposition) -> TransformResult:
+def tree_to_path(G: Graph, T: TreeDecomposition) -> PathDecomposition:
     """Turn a tree decomposition into a proper path decomposition of
     adhesion at most the bag-size bound.
 
@@ -153,8 +145,8 @@ def tree_to_path(G: Graph, T: TreeDecomposition) -> TransformResult:
     united with the branch's bags.  Otherwise: walk a longest path of the
     tree, folding each hanging subtree into the bag it hangs from.
     The achieved order is best-effort and reported, not promised.
-    T is validated against G once, at entry; the result is checked to be
-    proper and left to the next stage to validate.
+    T is validated against G once, at entry; the returned PathDecomposition
+    is checked to be proper and left to the next stage to validate.
     """
     _require_valid(G, T, TreeDecomposition, "tree_to_path")
     adj = T.adjacency()
@@ -162,7 +154,7 @@ def tree_to_path(G: Graph, T: TreeDecomposition) -> TransformResult:
     P = restore_properness(PathDecomposition(tuple(_tree_path_bags(T, adj, order))))
     if not P.proper:
         raise AuditError("tree_to_path produced an improper result")
-    return TransformResult(P, None)
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +172,6 @@ def _bag_linkage(
     if memo is None:
         memo = {}
     left, right = P.boundaries[z - 1], P.boundaries[z]
-    if len(left) != len(right):
-        raise AuditError(
-            f"bag {z} has unequal boundaries ({len(left)} vs {len(right)})"
-        )
     members = vset(P.bags[z])
     rows, relabel = induced_rows(G, members)
     key = (rows, tuple([relabel[v] for v in left]), tuple([relabel[v] for v in right]))
@@ -297,7 +285,7 @@ def _split_at_broken(
     return PathDecomposition(tuple(vset(b) for b in bags))
 
 
-def make_linked(G: Graph, P: PathDecomposition) -> TransformResult:
+def make_linked(G: Graph, P: PathDecomposition) -> PathDecomposition:
     """Produce a proper linked path decomposition from a proper one.
 
     Follows the inductive recipe: drop to lower adhesion along the edges
@@ -309,7 +297,7 @@ def make_linked(G: Graph, P: PathDecomposition) -> TransformResult:
     shape); the chosen result's linkages are then checked as
     certificates, bag by bag, not recomputed.  The achieved order is
     reported, never fabricated.  P is validated against G once, at entry;
-    the result is left to the next stage to validate.
+    the returned PathDecomposition is left to the next stage to validate.
     """
     _require_valid(G, P, PathDecomposition, "make_linked")
     P = restore_properness(P)
@@ -317,7 +305,7 @@ def make_linked(G: Graph, P: PathDecomposition) -> TransformResult:
     final = _checked_linkages(G, result, linkages)
     if not final.ok:
         raise AuditError(f"make_linked failed its own audit: {final.violation}")
-    return TransformResult(result, None)
+    return result
 
 
 def _make_linked_rec(
@@ -386,15 +374,17 @@ def audit_appearance_universal(P: PathDecomposition) -> DecompositionVerdict:
     return DecompositionVerdict(True)
 
 
-def make_appearance_universal(G: Graph, P: PathDecomposition) -> TransformResult:
+def make_appearance_universal(G: Graph, P: PathDecomposition) -> PathDecomposition:
     """Coarsen until every vertex appears in all bags or in at most two
     consecutive ones.
 
     Either peel a long-running vertex (restrict to its run, remove it,
     recurse, re-add it everywhere) or merge the path into blocks as long
     as the longest remaining run; the branch keeping more order wins.
-    P is validated against G once, at entry; the result is left to the
-    next stage to validate.
+    P is validated against G once, at entry.  The result is checked here
+    as a coarsening of P, through the input-bag intervals that
+    _appuniv_rec returns with it, and as appearance-universal; the
+    returned PathDecomposition is left to the next stage to validate.
     """
     _require_valid(G, P, PathDecomposition, "make_appearance_universal")
     result, intervals = _appuniv_rec(P)
@@ -402,7 +392,7 @@ def make_appearance_universal(G: Graph, P: PathDecomposition) -> TransformResult
     verdict = audit_appearance_universal(result)
     if not verdict.ok:
         raise AuditError(f"appearance-universality audit failed: {verdict.violation}")
-    return TransformResult(result, intervals)
+    return result
 
 
 def _appuniv_rec(
@@ -461,10 +451,12 @@ def audit_large_interiors(G: Graph, P: PathDecomposition) -> DecompositionVerdic
     return DecompositionVerdict(True)
 
 
-def make_large_interiors(G: Graph, P: PathDecomposition) -> TransformResult:
+def make_large_interiors(G: Graph, P: PathDecomposition) -> PathDecomposition:
     """Triple-merge coarsening of a proper appearance-universal path
-    decomposition; the result has large interiors.  P is validated against
-    G once, at entry; the result is left to the next stage to validate."""
+    decomposition; the result has large interiors and is checked here as
+    the coarsening of P by the triple blocks.  P is validated against G
+    once, at entry; the returned PathDecomposition is left to the next
+    stage to validate."""
     _require_valid(G, P, PathDecomposition, "make_large_interiors")
     if not P.proper:
         raise AuditError("make_large_interiors: input decomposition is not proper")
@@ -479,7 +471,7 @@ def make_large_interiors(G: Graph, P: PathDecomposition) -> TransformResult:
     final = audit_large_interiors(G, result)
     if not final.ok:
         raise AuditError(f"large-interiors audit failed: {final.violation}")
-    return TransformResult(result, tuple(blocks))
+    return result
 
 
 # ---------------------------------------------------------------------------

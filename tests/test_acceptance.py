@@ -175,13 +175,13 @@ def test_criterion_09_decomposition_surgery_audits():
             (i, spine + i) for i in range(spine)
         ]
         G = Graph(2 * spine, edges)
-        corpus.append((G, tree_to_path(G, treewidth_decomposition(G)).decomposition))
+        corpus.append((G, tree_to_path(G, treewidth_decomposition(G))))
     assert len(corpus) >= 50
     outcomes = {"islands": 0, "minor": 0, "order_too_small": 0}
     for G, P in corpus:
-        linked = make_linked(G, P).decomposition  # audited internally
-        appuniv = make_appearance_universal(G, linked).decomposition
-        li = make_large_interiors(G, appuniv).decomposition  # audited internally
+        linked = make_linked(G, P)  # audited internally
+        appuniv = make_appearance_universal(G, linked)
+        li = make_large_interiors(G, appuniv)  # audited internally
         result = island_or_minor(G, li, t=2, m=2, l=1)
         outcomes[result.kind] += 1
         if result.kind == "islands":

@@ -72,6 +72,21 @@ class TestIsland:
         main(["gen", "complete_bipartite", "5", "5", str(path)])
         assert main(["island", str(path), "2", "sparse", "0.25"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["5", "nan"])
+    def test_brute_takes_no_alpha(self, p3, capsys, alpha):
+        capsys.readouterr()
+        assert main(["--json", "island", p3, "2", "brute", alpha]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: brute mode takes no ALPHA, got alpha={float(alpha)}" in captured.err
+
+    def test_only_sparse_records_alpha(self, k23, grid10, capsys):
+        capsys.readouterr()
+        assert main(["--json", "island", k23, "2", "brute"]) == 0
+        assert "alpha" not in json.loads(capsys.readouterr().out)["parameters"]
+        assert main(["--json", "island", grid10, "4", "sparse"]) == 0
+        assert json.loads(capsys.readouterr().out)["parameters"]["alpha"] == 0.3
+
 
 class TestColorPercolateShatter:
     def test_color_grid(self, grid10, capsys):
@@ -90,7 +105,7 @@ class TestColorPercolateShatter:
         # the colouring's own clustering (3) agrees with itself
         def joined(G, t, finder):
             col = coloring.ClusteredColoring((0, 0, 0), t, 3)
-            return col, coloring.IslandEliminationTrace((((0, 1), (0, 0)), ((2,), (0,))))
+            return col, coloring.IslandEliminationTrace(((0, 1), (2,)))
 
         monkeypatch.setattr(coloring, "greedy_clustered_coloring", joined)
         capsys.readouterr()
@@ -222,6 +237,16 @@ class TestPathdecomp:
         chain = "appuniv,largeint,extract"
         assert main(["--json", "pathdecomp", str(graph), str(pd), chain, t, m, l]) == 1
         assert f"needs {name} >= 1" in capsys.readouterr().err
+
+    def test_unequal_boundaries_name_the_bag(self, tmp_path, capsys):
+        # bag 1 meets bag 0 in {1} and bag 2 in {2, 3}
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n2 3\n1 3\n")
+        pd = tmp_path / "g.pd"
+        pd.write_text("path 3\nbag 0 1\nbag 1 2 3\nbag 2 3\n")
+        capsys.readouterr()
+        assert main(["pathdecomp", str(graph), str(pd), "extract"]) == 1
+        assert "bag 1 boundaries differ in size (1 vs 2)" in capsys.readouterr().err
 
 
 class TestPathdecompValidation:
@@ -369,6 +394,18 @@ class TestVertexIdsAtTheBoundary:
         assert "error: seeds: '0_1' is not a vertex id" in capsys.readouterr().err
         assert main(["verify", p3, "--island", "+1", "--t", "1"]) == 1
         assert "error: --island: '+1' is not a vertex id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["1_0", "+2", "\u0662"])
+    def test_integer_arguments_are_ascii_digits(self, p3, tmp_path, capsys, token):
+        capsys.readouterr()
+        out = str(tmp_path / "g.txt")
+        for argv in (["gen", "path", token, out], ["color", p3, token],
+                     ["island", p3, token, "brute"], ["percolate", p3, "0", token],
+                     ["pathdecomp", p3, "x.pd", "extract", "2", token],
+                     ["verify", p3, "--t", token]):
+            assert main(argv) == 1, argv
+            assert f"invalid int_token value: '{token}'" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_colours_are_ascii_digits(self, p3, tmp_path, capsys):
         lists = tmp_path / "lists.txt"

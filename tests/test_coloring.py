@@ -69,7 +69,7 @@ class TestGreedy:
         # the peeled island never merges with outside same-color vertices
         G = gen_cycle(12)
         col, trace = greedy_clustered_coloring(G, 2, brute_finder)
-        island_sets = [set(s) for s, _ in trace.steps]
+        island_sets = [set(s) for s in trace.islands]
         for comp in monochromatic_components(G, [col.colors[v] for v in range(G.n)]):
             assert any(set(comp) <= s for s in island_sets)
 

@@ -313,7 +313,7 @@ class TestGenerators:
     def test_hex_grid_girth_and_degree(self):
         G = gen_hex_grid(3, 4)
         assert nx.girth(nx.Graph(list(G.edges()))) == 6
-        assert max(G.degree(v) for v in G.vertices()) <= 3
+        assert max(len(G.adj[v]) for v in range(G.n)) <= 3
 
     def test_outerplanar_gadget_counts(self):
         for C in (1, 2, 3):

@@ -14,6 +14,7 @@ from islandkit.graphs import (
 from islandkit.islands import (
     DensityPreconditionError,
     GraphTooLarge,
+    IslandCertificate,
     NotAnEnclave,
     SparseIslandParams,
     density_below,
@@ -42,15 +43,14 @@ class TestIsIsland:
         assert verdict.witness == 2
         assert verdict.witness_outside_degree == 2
 
-    def test_certificate_records_outside_degrees(self):
+    def test_certificate_records_members_and_t(self):
         G = gen_path(4)
-        cert = is_island(G, [1, 2], 2).certificate
-        assert cert.outside_degrees == (1, 1)
+        assert is_island(G, [2, 1], 2).certificate == IslandCertificate((1, 2), 2)
 
     @given(graphs(max_n=8))
     @settings(max_examples=50, deadline=None)
     def test_island_definition_pointwise(self, G):
-        S = [v for v in G.vertices() if v % 2 == 0]
+        S = [v for v in range(G.n) if v % 2 == 0]
         verdict = is_island(G, S, 2)
         expected = all(
             sum(1 for u in G.adj[v] if u not in set(S)) < 2 for v in S
@@ -84,7 +84,7 @@ class TestEnclaves:
     @settings(max_examples=60, deadline=None)
     def test_shrink_yields_island_subset(self, G):
         t = 2
-        A = tuple(G.vertices())
+        A = tuple(range(G.n))
         if not is_enclave(G, A, t):
             return
         cert = shrink_enclave_to_island(G, A, t)

@@ -4,7 +4,12 @@ the island layer, so `islands` can call `separators.shatter` directly.
 
 Every top-level definition is reached from a command (`cli.py`) or a
 bench job (`bench/*.py`), or sits on an allowlist of named test oracles,
-and every name a module or a test file imports is used in it."""
+and every name a module, a test file or a bench file imports is used in
+it.  Every class member (method, property, annotated field, or `self.x`
+set in a method) is read as an attribute somewhere in the package or the
+bench, or sits on an allowlist with its reason.  Members are matched by
+name alone: a member that shares its name with any attribute read
+anywhere passes.  Every function the bench tracer wraps exists."""
 
 import ast
 from pathlib import Path
@@ -268,6 +273,123 @@ def test_allowlist_names_only_unreached_definitions():
     assert sorted(".".join(r) for r in wired) == []
 
 
+# Class members that no package or bench code reads as an attribute;
+# "module.Class.member", or "module.Class" for all its members -> why it
+# stays.  Classes on ALLOWLIST are exempt as a whole.
+MEMBER_ALLOWLIST = {
+    "cli._Parser.error": "argparse calls it",
+    "coloring.ClusteredColoring.palette_size": (
+        "bench/checks.py builds the record positionally; ROADMAP item 12"
+    ),
+    "separators.ShatterReport.tree_trace": "criterion 07 checks ranks along the trace",
+    "separators.TraceNode": "criterion 07 checks ranks along the trace",
+    "surgery.IslandOrMinorResult.minor_host": (
+        "criterion 09 re-verifies the minor model against it"
+    ),
+}
+
+
+def class_members(cls: ast.ClassDef) -> set[str]:
+    """A class's non-dunder methods and properties, the fields annotated in
+    its body, and the attributes its methods set on their first argument."""
+    names = set()
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(stmt.name)
+            me = stmt.args.args[0].arg if stmt.args.args else None
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == me
+                ):
+                    names.add(node.attr)
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.add(stmt.target.id)
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def unread_members(package: Package, bench_files) -> tuple[set[str], set[str]]:
+    """(members of the package's classes whose name no package or bench code
+    reads as an attribute, MEMBER_ALLOWLIST entries that cover none of
+    them)."""
+    trees = [src.tree for src in package.sources.values()]
+    trees += [ast.parse(path.read_text(), filename=str(path)) for path in bench_files]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {
+        f"{m}.{stmt.name}.{name}"
+        for m, src in package.sources.items()
+        for stmt in src.tree.body
+        if isinstance(stmt, ast.ClassDef) and f"{m}.{stmt.name}" not in ALLOWLIST
+        for name in class_members(stmt) - read
+    }
+    covered = {
+        entry: {x for x in unread if x == entry or x.startswith(entry + ".")}
+        for entry in MEMBER_ALLOWLIST
+    }
+    allowed = set().union(*covered.values())
+    return unread - allowed, {entry for entry, xs in covered.items() if not xs}
+
+
+def test_every_class_member_is_read_or_allowlisted():
+    dead, _ = unread_members(Package(), sorted(BENCH.glob("*.py")))
+    assert sorted(dead) == []
+
+
+def test_member_allowlist_names_only_unread_members():
+    _, stale = unread_members(Package(), sorted(BENCH.glob("*.py")))
+    assert sorted(stale) == []
+
+
+def test_member_guard_sees_unread_and_stale():
+    """The member checks on a made-up package: an unread annotated field and
+    an unread `self` attribute are flagged, a read member is not, and an
+    allowlisted member that some code reads is stale."""
+    package = Package()
+    package.sources["cli"].tree.body.extend(
+        ast.parse(
+            "class Made:\n"
+            "    made_unread_field: int\n"
+            "    made_read_field: int\n"
+            "    def __init__(self):\n"
+            "        self.made_unread_attr = 1\n"
+            "def use(m, col):\n"
+            "    return m.made_read_field, col.palette_size\n"
+        ).body
+    )
+    dead, stale = unread_members(package, [])
+    assert {"cli.Made.made_unread_field", "cli.Made.made_unread_attr"} <= dead
+    assert "cli.Made.made_read_field" not in dead
+    assert "coloring.ClusteredColoring.palette_size" in stale
+    assert "cli._Parser.error" not in stale
+
+
+def test_bench_trace_targets_exist():
+    """Every (module, function) the bench tracer wraps is a function of that
+    package module; bench/tracer.py is read, not imported."""
+    tree = ast.parse((BENCH / "tracer.py").read_text())
+    targets = next(
+        ast.literal_eval(stmt.value)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in stmt.targets)
+    )
+    sources = Package().sources
+    missing = [
+        f"{m}.{f}"
+        for m, f in targets
+        if m not in sources
+        or not any(isinstance(d, ast.FunctionDef) for d in sources[m].defs.get(f, []))
+    ]
+    assert missing == []
+
+
 def unused_imports(src: Source) -> list[str]:
     """The names src's imports bind that nothing else in it reads."""
     read = {node.id for node in ast.walk(src.tree) if isinstance(node, ast.Name)}
@@ -293,6 +415,11 @@ def test_every_import_is_used(module):
 
 @pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_every_test_import_is_used(path):
+    assert unused_imports(Source(path, path.stem)) == []
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_bench_import_is_used(path):
     assert unused_imports(Source(path, path.stem)) == []
 
 

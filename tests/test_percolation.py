@@ -48,14 +48,14 @@ class TestPercolate:
     def test_order_independence(self, G, t, rnd):
         """The closure is a fixed point: any activation schedule lands on
         the same final set."""
-        seeds = tuple(v for v in G.vertices() if v % 3 == 0)
+        seeds = tuple(v for v in range(G.n) if v % 3 == 0)
         expected = set(percolate(G, seeds, t).final_active)
         active = set(seeds)
         frontier = True
         while frontier:
             candidates = [
                 v
-                for v in G.vertices()
+                for v in range(G.n)
                 if v not in active
                 and sum(1 for u in G.adj[v] if u in active) >= t
             ]

@@ -79,25 +79,25 @@ class TestTreeToPath:
         G = gen_path(8)
         T = treewidth_decomposition(G)
         result = tree_to_path(G, T)
-        assert validate_decomposition(G, result.decomposition).ok
-        assert result.decomposition.proper
+        assert validate_decomposition(G, result).ok
+        assert result.proper
 
     def test_star_tree(self):
         # star graph: decomposition tree is itself a star
         G = Graph(7, [(0, i) for i in range(1, 7)])
         T = treewidth_decomposition(G)
         result = tree_to_path(G, T)
-        assert validate_decomposition(G, result.decomposition).ok
+        assert validate_decomposition(G, result).ok
 
     def test_empty_graph(self):
         result = tree_to_path(Graph(0, []), TreeDecomposition((), ()))
-        assert result.decomposition.order == 0
+        assert result.order == 0
 
     def test_disconnected_graph(self):
         G = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         T = treewidth_decomposition(G)
         result = tree_to_path(G, T)
-        assert validate_decomposition(G, result.decomposition).ok
+        assert validate_decomposition(G, result).ok
 
 
 class TestDecompositionKind:
@@ -151,7 +151,7 @@ class TestMakeLinked:
         P = ladder_decomposition(8)
         assert audit_linked(G, P).ok
         result = make_linked(G, P)
-        assert result.decomposition.order == P.order
+        assert result.order == P.order
 
     def test_broken_bag_detected(self):
         # a bag whose boundary pairs are separated by a single cut vertex
@@ -165,25 +165,26 @@ class TestMakeLinked:
     def test_fan_decomposition_linked(self):
         G = gen_fan(1, 20)
         result = make_linked(G, fan_decomposition(20, 20))
-        assert audit_linked(G, result.decomposition).ok
-        assert result.decomposition.order >= 10
+        assert audit_linked(G, result).ok
+        assert result.order >= 10
 
     def test_caterpillar(self):
         G = caterpillar(10)
         T = treewidth_decomposition(G)
-        P = tree_to_path(G, T).decomposition
+        P = tree_to_path(G, T)
         result = make_linked(G, P)
-        assert audit_linked(G, result.decomposition).ok
-        assert validate_decomposition(G, result.decomposition).ok
+        assert audit_linked(G, result).ok
+        assert validate_decomposition(G, result).ok
 
 
 class TestAppearanceUniversal:
     def test_fan_apex_becomes_universal(self):
         P = fan_decomposition(20, 20)
         result = make_appearance_universal(gen_fan(1, 20), P)
-        assert audit_appearance_universal(result.decomposition).ok
-        assert result.intervals is not None
-        verify_coarsening(P, result.decomposition, result.intervals)
+        assert audit_appearance_universal(result).ok
+        witness, intervals = surgery._appuniv_rec(P)
+        assert witness == result
+        verify_coarsening(P, result, intervals)
 
     def test_long_run_vertex_peeled(self):
         # vertex 9 runs through the middle five bags
@@ -193,13 +194,15 @@ class TestAppearanceUniversal:
         ]
         P = PathDecomposition(tuple(bags))
         result = make_appearance_universal(Graph(10, []), P)
-        assert audit_appearance_universal(result.decomposition).ok
-        verify_coarsening(P, result.decomposition, result.intervals)
+        assert audit_appearance_universal(result).ok
+        witness, intervals = surgery._appuniv_rec(P)
+        assert witness == result
+        verify_coarsening(P, result, intervals)
 
     def test_idempotent_on_clean_input(self):
         P = PathDecomposition(((0, 1), (1, 2), (2, 3)))
         result = make_appearance_universal(gen_path(4), P)
-        assert result.decomposition.bags == P.bags
+        assert result.bags == P.bags
 
 
 class TestLargeInteriors:
@@ -207,8 +210,8 @@ class TestLargeInteriors:
         G = gen_path(10)
         P = PathDecomposition(tuple(vset([i, i + 1]) for i in range(9)))
         result = make_large_interiors(G, P)
-        assert audit_large_interiors(G, result.decomposition).ok
-        assert result.decomposition.order == 3
+        assert audit_large_interiors(G, result).ok
+        assert result.order == 3
 
     def test_requires_appearance_universal(self):
         bags = [vset([i, i + 1]) for i in range(8)]
@@ -244,15 +247,15 @@ class TestLargeInteriors:
         G = gen_fan(1, 12)
         P = fan_decomposition(12, 12)
         result = make_large_interiors(G, P)
-        interiors = result.decomposition.interiors
-        for z in range(1, result.decomposition.order - 1):
+        interiors = result.interiors
+        for z in range(1, result.order - 1):
             assert interiors[z]
 
 
 class TestExtendedBags:
     def test_fan_global_paths(self):
         G = gen_fan(1, 12)
-        P = make_large_interiors(G, fan_decomposition(12, 12)).decomposition
+        P = make_large_interiors(G, fan_decomposition(12, 12))
         paths = extended_bags(G, P)
         assert len(paths) == 2
         flat = [v for p in paths for v in p]
@@ -268,7 +271,7 @@ class TestExtendedBags:
     def test_endpoints_align_across_bags(self):
         G = gen_complete_bipartite(2, 20)
         P = PathDecomposition(tuple(vset([0, 1, r]) for r in range(2, 22)))
-        li = make_large_interiors(G, P).decomposition
+        li = make_large_interiors(G, P)
         paths = extended_bags(G, li)
         # path i leaves each internal bag where it enters the next: one
         # vertex on every boundary, and the paths hold the boundaries
@@ -279,7 +282,7 @@ class TestExtendedBags:
 class TestIslandOrMinor:
     def test_fan_yields_fan_minor(self):
         G = gen_fan(1, 40)
-        P = make_large_interiors(G, fan_decomposition(40, 40)).decomposition
+        P = make_large_interiors(G, fan_decomposition(40, 40))
         result = island_or_minor(G, P, t=2, m=3, l=3)
         assert result.kind == "minor"
         assert result.minor_of == "fan"
@@ -288,7 +291,7 @@ class TestIslandOrMinor:
     def test_bipartite_yields_bipartite_minor(self):
         G = gen_complete_bipartite(2, 30)
         P = PathDecomposition(tuple(vset([0, 1, r]) for r in range(2, 32)))
-        li = make_large_interiors(G, P).decomposition
+        li = make_large_interiors(G, P)
         result = island_or_minor(G, li, t=2, m=3, l=3)
         assert result.kind == "minor"
         assert result.minor_of == "complete_bipartite"
@@ -297,7 +300,7 @@ class TestIslandOrMinor:
     def test_path_yields_islands(self):
         G = gen_path(40)
         P = PathDecomposition(tuple(vset([i, i + 1]) for i in range(39)))
-        li = make_large_interiors(G, P).decomposition
+        li = make_large_interiors(G, P)
         result = island_or_minor(G, li, t=2, m=3, l=2)
         assert result.kind == "islands"
         for cert in result.certificates:
@@ -309,14 +312,14 @@ class TestIslandOrMinor:
     def test_parameters_below_one_rejected(self, name, t, m, l):
         G = gen_path(12)
         P = PathDecomposition(tuple(vset([i, i + 1]) for i in range(11)))
-        li = make_large_interiors(G, P).decomposition
+        li = make_large_interiors(G, P)
         with pytest.raises(ValueError, match=f"needs {name} >= 1"):
             island_or_minor(G, li, t=t, m=m, l=l)
 
     def test_short_input_honest_negative(self):
         G = gen_path(6)
         P = PathDecomposition(tuple(vset([i, i + 1]) for i in range(5)))
-        li = make_large_interiors(G, P).decomposition
+        li = make_large_interiors(G, P)
         result = island_or_minor(G, li, t=2, m=5, l=5)
         assert result.kind == "order_too_small"
         assert result.note
@@ -406,7 +409,7 @@ class TestOneLinkagePerBag:
         G, P = ladder(8), ladder_decomposition(8)
         calls = self._count(monkeypatch)
         result = make_linked(G, P)
-        assert result.decomposition == P
+        assert result == P
         assert len(calls) == len(linkage_keys(G, P)) == 1  # every bag has one shape
 
     @pytest.mark.parametrize("kind", ["fan", "path"])
@@ -416,7 +419,7 @@ class TestOneLinkagePerBag:
         else:
             G = gen_path(40)
             P = PathDecomposition(tuple(vset([i, i + 1]) for i in range(39)))
-        li = make_large_interiors(G, P).decomposition
+        li = make_large_interiors(G, P)
         calls = self._count(monkeypatch)
         result = island_or_minor(G, li, t=2, m=3, l=2)
         assert result.kind == ("minor" if kind == "fan" else "islands")
@@ -516,6 +519,6 @@ class TestBagLinkageMemo:
         real = surgery.bag_linkages
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(surgery, "bag_linkages", lambda G, P: seen.append(P) or real(G, P))
-            make_linked(G, tree_to_path(G, treewidth_decomposition(G)).decomposition)
+            make_linked(G, tree_to_path(G, treewidth_decomposition(G)))
         for P in seen:
             self.check(G, P)

@@ -406,10 +406,10 @@ def min_fill_inputs(draw):
         G = random_bounded_degree_graph(rng, draw(st.integers(2, 40)), draw(st.integers(2, 4)))
     else:
         G = draw(graphs(max_n=9, min_n=2))
-    stage = tree_to_path(G, treewidth_decomposition(G))
-    assert validate_decomposition(G, stage.decomposition).ok
-    assert stage.decomposition.proper
-    return G, stage.decomposition
+    P = tree_to_path(G, treewidth_decomposition(G))
+    assert validate_decomposition(G, P).ok
+    assert P.proper
+    return G, P
 
 
 @st.composite
@@ -447,22 +447,24 @@ def outcome(f, *args):
 
 
 def check_chain(G, P, t, m, l):
-    linked = make_linked(G, P).decomposition
+    linked = make_linked(G, P)
     assert linked == reference_make_linked(G, P)
     assert validate_decomposition(G, linked).ok
     verdict = audit_linked(G, linked)
     assert verdict.ok and reference_audit_linked(G, linked)
 
     appuniv = make_appearance_universal(G, linked)
-    verify_coarsening(linked, appuniv.decomposition, appuniv.intervals)
-    assert audit_appearance_universal(appuniv.decomposition).ok
+    witness, intervals = surgery._appuniv_rec(linked)
+    assert witness == appuniv
+    verify_coarsening(linked, appuniv, intervals)
+    assert audit_appearance_universal(appuniv).ok
 
-    interiors = outcome(make_large_interiors, G, appuniv.decomposition)
-    if interiors is AuditError:  # the input to this stage was not proper
-        assert not appuniv.decomposition.proper
+    Q = outcome(make_large_interiors, G, appuniv)
+    if Q is AuditError:  # the input to this stage was not proper
+        assert not appuniv.proper
         return
-    Q = interiors.decomposition
-    verify_coarsening(appuniv.decomposition, Q, interiors.intervals)
+    triples = [(s, min(s + 2, appuniv.order - 1)) for s in range(0, appuniv.order, 3)]
+    verify_coarsening(appuniv, Q, triples)
     assert audit_large_interiors(G, Q).ok
 
     paths = outcome(extended_bags, G, Q)
@@ -562,7 +564,7 @@ def test_window_reuses_the_run_linkages(monkeypatch):
     monkeypatch.setattr(surgery, "_bag_linkage", bag_linkage)
     monkeypatch.setattr(surgery, "bag_linkages", bag_linkages)
     monkeypatch.setattr(surgery, "find_linkage", find_linkage)
-    result = make_linked(G, P).decomposition
+    result = make_linked(G, P)
     monkeypatch.undo()
     assert result == reference_make_linked(G, P)
     assert result.bags[1] == (3, 5, 7, 9, 10)  # the window, not the split
